@@ -70,8 +70,7 @@ FuzzSummary run_fuzz(const FuzzConfig& cfg) {
     const std::uint64_t seed = cfg.seed + static_cast<std::uint64_t>(i);
     ScenarioSpec s = generate_scenario(seed, cfg.limits);
     if (cfg.plant) plant_corrupt_commit(s);
-    if (cfg.dsan) s.dsan = true;
-    if (cfg.plant_dsan) plant_dsan_conflict(s);
+    s.reverse_ties = cfg.reverse_ties;
 
     const OracleReport report = run_oracle(s);
     ++summary.scenarios;
@@ -118,13 +117,7 @@ FuzzSummary run_fuzz(const FuzzConfig& cfg) {
       std::error_code ec;
       std::filesystem::create_directories(cfg.repro_dir, ec);
       HOMP_REQUIRE(!ec, "cannot create repro directory: " + cfg.repro_dir);
-      // Determinism findings get their own stem so a corpus directory
-      // separates ordering conflicts from result-level failures at a
-      // glance (docs/DETERMINISM.md "Reading a dsan repro").
-      const std::string stem =
-          (primary.invariant == "dsan-determinism" ? "dsan-repro-"
-                                                   : "repro-") +
-          std::to_string(seed);
+      const std::string stem = "repro-" + std::to_string(seed);
       const std::string ini_name = stem + ".ini";
       const std::string toml_path = cfg.repro_dir + "/" + stem + ".toml";
       write_file(cfg.repro_dir + "/" + ini_name,
@@ -143,7 +136,7 @@ FuzzSummary run_fuzz(const FuzzConfig& cfg) {
      << ", \"count\": " << cfg.count
      << ", \"max_devices\": " << cfg.limits.max_devices
      << ", \"plant\": " << (cfg.plant ? "true" : "false")
-     << ", \"dsan\": " << (cfg.dsan || cfg.plant_dsan ? "true" : "false")
+     << ", \"reverse_ties\": " << (cfg.reverse_ties ? "true" : "false")
      << "},\n";
   os << "  \"invariants\": [";
   const auto& names = invariant_names();

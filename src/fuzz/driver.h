@@ -34,14 +34,9 @@ struct FuzzConfig {
   /// corruption (scenario.h plant_corrupt_commit).
   bool plant = false;
 
-  /// Sweep the corpus under homp-dsan (docs/DETERMINISM.md): every
-  /// scenario runs with the determinism sanitizer attached; conflicts
-  /// surface as "dsan-determinism" failures and dsan-repro-<seed> files.
-  bool dsan = false;
-
-  /// Self-test plant: a same-timestamp write-write conflict dsan must
-  /// catch (scenario.h plant_dsan_conflict). Implies dsan mode.
-  bool plant_dsan = false;
+  /// Sweep the corpus with same-timestamp events popped newest-first
+  /// (docs/DETERMINISM.md); every invariant must still hold.
+  bool reverse_ties = false;
 
   /// Stop emitting repro files (but keep counting) after this many
   /// failures, so a systematically broken build cannot flood the disk.

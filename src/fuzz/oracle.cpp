@@ -15,8 +15,6 @@
 #include "runtime/metrics_export.h"
 #include "runtime/runtime.h"
 #include "sched/algorithm.h"
-#include "sim/dsan.h"
-#include "sim/engine.h"
 
 namespace homp::fuzz {
 
@@ -43,6 +41,7 @@ rt::OffloadOptions options_for(const ScenarioSpec& s,
   o.parallel_offload = s.parallel_offload;
   o.harness.step_budget = s.step_budget;
   o.harness.capture_result_checksum = true;
+  o.harness.reverse_ties = s.reverse_ties;
   if (s.replay) {
     o.harness.replay = true;
     o.harness.replay_seed = s.fault_seed;
@@ -269,7 +268,6 @@ const std::vector<std::string>& invariant_names() {
       "reference",         "differential-results",
       "recovery-legality", "audit-consistency",
       "metrics-consistency", "imbalance-bounds",
-      "dsan-determinism",
   };
   return kNames;
 }
@@ -290,25 +288,8 @@ std::uint64_t OracleReport::digest() const noexcept {
   return d;
 }
 
-namespace {
-
-/// The dsan self-test plant: two causally unrelated events at the same
-/// virtual timestamp both write an ordered cell — the exact shape the
-/// sanitizer exists to catch. Runs on its own micro-engine under the
-/// caller's active dsan scope.
-void run_planted_dsan_conflict() {
-  sim::Engine e;
-  sim::dsan::Cell cell("dsan/selftest", sim::dsan::CellKind::kOrdered);
-  e.schedule_at(1.0, [c = &cell] { HOMP_DSAN_WRITE(*c); });
-  e.schedule_at(1.0, [c = &cell] { HOMP_DSAN_WRITE(*c); });
-  e.run();
-}
-
-}  // namespace
-
-/// The per-algorithm sweep — the body of run_oracle, split out so dsan
-/// mode can wrap it in an attached sanitizer scope.
-static void run_sweep(const ScenarioSpec& s, OracleReport& report) {
+OracleReport run_oracle(const ScenarioSpec& s) {
+  OracleReport report;
   const sched::AlgorithmKind* kinds = sched::every_algorithm();
 
   for (int i = 0; i < sched::kNumEveryAlgorithm; ++i) {
@@ -355,28 +336,6 @@ static void run_sweep(const ScenarioSpec& s, OracleReport& report) {
       checker.fail("progress", e.what());
     }
     report.runs.push_back(std::move(run));
-  }
-}
-
-OracleReport run_oracle(const ScenarioSpec& s) {
-  OracleReport report;
-
-  if (s.dsan && sim::dsan::compiled_in()) {
-    // Attach the determinism sanitizer for the whole sweep. Sequential
-    // engines are fine under one context (it flushes on engine change);
-    // every surviving conflict becomes a "dsan-determinism" violation.
-    sim::dsan::Context ctx;
-    {
-      sim::dsan::Scope scope(ctx);
-      if (s.plant_dsan_conflict) run_planted_dsan_conflict();
-      run_sweep(s, report);
-    }
-    ctx.finish();
-    for (const auto& v : ctx.violations()) {
-      report.violations.push_back({"dsan-determinism", "*", v.to_string()});
-    }
-  } else {
-    run_sweep(s, report);
   }
 
   // --- differential invariants across the sweep ---

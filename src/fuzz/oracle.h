@@ -73,7 +73,7 @@ struct OracleReport {
   std::uint64_t digest() const noexcept;
 };
 
-/// The ten invariant names in report order.
+/// The invariant names in report order.
 const std::vector<std::string>& invariant_names();
 
 /// Run `s` through all algorithm families and check every invariant.

@@ -295,11 +295,6 @@ void plant_corrupt_commit(ScenarioSpec& s) {
   s.faults.push_back(f);
 }
 
-void plant_dsan_conflict(ScenarioSpec& s) {
-  s.dsan = true;
-  s.plant_dsan_conflict = true;
-}
-
 std::string to_toml(const ScenarioSpec& s, const std::string& machine_file,
                     const std::string& invariant,
                     const std::string& algorithm) {
@@ -336,9 +331,8 @@ std::string to_toml(const ScenarioSpec& s, const std::string& machine_file,
   os << "parallel_offload = " << (s.parallel_offload ? "true" : "false")
      << "\n";
   os << "step_budget = " << s.step_budget << "\n";
-  // dsan keys only when set: older repro files stay byte-identical.
-  if (s.dsan) os << "dsan = true\n";
-  if (s.plant_dsan_conflict) os << "plant_dsan_conflict = true\n";
+  // Only when set: canonical-order repro files stay byte-identical.
+  if (s.reverse_ties) os << "reverse_ties = true\n";
 
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
     const auto& f = s.faults[i];
@@ -452,8 +446,7 @@ ParsedScenario parse_scenario(const std::string& text) {
       else if (key == "watchdog") s.watchdog = as_bool();
       else if (key == "parallel_offload") s.parallel_offload = as_bool();
       else if (key == "step_budget") s.step_budget = as_ll();
-      else if (key == "dsan") s.dsan = as_bool();
-      else if (key == "plant_dsan_conflict") s.plant_dsan_conflict = as_bool();
+      else if (key == "reverse_ties") s.reverse_ties = as_bool();
       else bad("unknown [options] key '" + key + "'");
     } else if (fault != nullptr && starts_with(section, "fault.")) {
       if (key == "device") fault->device_id = static_cast<int>(as_ll());

@@ -64,15 +64,10 @@ struct ScenarioSpec {
   /// run never trips it but a livelock always does.
   long long step_budget = 0;
 
-  /// Run the oracle sweep under an attached homp-dsan context
-  /// (docs/DETERMINISM.md); any same-timestamp conflict becomes a
-  /// "dsan-determinism" finding. Serialized, so a dsan repro replays in
-  /// dsan mode without extra flags.
-  bool dsan = false;
-
-  /// Self-test plant: schedule a same-timestamp write-write conflict on
-  /// an ordered cell inside the oracle run; dsan must catch it.
-  bool plant_dsan_conflict = false;
+  /// Run every offload with same-timestamp events popped newest-first
+  /// (HarnessOptions::reverse_ties; docs/DETERMINISM.md). Serialized only
+  /// when set, so a --reverse-ties repro replays in that order.
+  bool reverse_ties = false;
 
   /// Set (not serialized) when this scenario was loaded from a repro
   /// file: the oracle marks its offloads as replays, which makes
@@ -105,11 +100,6 @@ long long min_trip(const std::string& kernel);
 /// silent compute corruption on the first accelerator. The oracle's
 /// reference / differential invariants must catch it.
 void plant_corrupt_commit(ScenarioSpec& s);
-
-/// Mutate `s` into the dsan self-test configuration: dsan mode on plus a
-/// planted same-timestamp write-write conflict on an ordered cell. The
-/// oracle's "dsan-determinism" invariant must catch it.
-void plant_dsan_conflict(ScenarioSpec& s);
 
 /// Serialize everything except the machine (see file comment). The
 /// optional `machine_file` is recorded so replay can find the paired

@@ -165,7 +165,7 @@ ServeFuzzSummary run_serve_fuzz(const ServeFuzzConfig& cfg) {
   for (int i = 0; i < cfg.count; ++i) {
     const std::uint64_t seed = cfg.seed + static_cast<std::uint64_t>(i);
     ServeScenarioSpec s = generate_serve_scenario(seed, cfg.limits);
-    if (cfg.dsan) s.dsan = true;
+    s.reverse_ties = cfg.reverse_ties;
 
     const ServeOracleReport report = run_serve_oracle(s);
     ++summary.scenarios;
@@ -218,10 +218,7 @@ ServeFuzzSummary run_serve_fuzz(const ServeFuzzConfig& cfg) {
       std::error_code ec;
       std::filesystem::create_directories(cfg.repro_dir, ec);
       HOMP_REQUIRE(!ec, "cannot create repro directory: " + cfg.repro_dir);
-      const std::string stem =
-          (primary.invariant == "dsan-determinism" ? "dsan-repro-"
-                                                   : "serve-repro-") +
-          std::to_string(seed);
+      const std::string stem = "serve-repro-" + std::to_string(seed);
       const std::string ini_name = stem + ".ini";
       const std::string toml_path = cfg.repro_dir + "/" + stem + ".toml";
       write_file(cfg.repro_dir + "/" + ini_name,
@@ -241,7 +238,8 @@ ServeFuzzSummary run_serve_fuzz(const ServeFuzzConfig& cfg) {
      << ", \"max_devices\": " << cfg.limits.max_devices
      << ", \"max_tenants\": " << cfg.limits.max_tenants
      << ", \"max_jobs\": " << cfg.limits.max_jobs
-     << ", \"dsan\": " << (cfg.dsan ? "true" : "false") << "},\n";
+     << ", \"reverse_ties\": " << (cfg.reverse_ties ? "true" : "false")
+     << "},\n";
   os << "  \"invariants\": [";
   const auto& names = serve_invariant_names();
   for (std::size_t i = 0; i < names.size(); ++i) {

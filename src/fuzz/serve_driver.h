@@ -33,9 +33,9 @@ struct ServeFuzzConfig {
   /// failures, so a systematically broken build cannot flood the disk.
   int max_repros = 8;
 
-  /// Run every scenario's first pass under homp-dsan
-  /// (docs/DETERMINISM.md); conflicts surface as "dsan-determinism".
-  bool dsan = false;
+  /// Run every scenario with same-timestamp events popped newest-first
+  /// (docs/DETERMINISM.md); every invariant must still hold.
+  bool reverse_ties = false;
 };
 
 /// One failing serve scenario as the summary reports it.

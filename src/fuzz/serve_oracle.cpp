@@ -1,14 +1,12 @@
 #include "fuzz/serve_oracle.h"
 
 #include <cstdio>
-#include <optional>
 #include <set>
 #include <sstream>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "serve/report.h"
-#include "sim/dsan.h"
 
 namespace homp::fuzz {
 
@@ -32,18 +30,13 @@ struct RunOutcome {
   std::size_t retained = 0;
   std::size_t live_events = 0;
   std::size_t live_gens = 0;
-  std::vector<std::string> dsan_violations;
 };
 
-RunOutcome run_once(const ServeScenarioSpec& s, bool with_dsan = false) {
+RunOutcome run_once(const ServeScenarioSpec& s) {
   RunOutcome out;
-  sim::dsan::Context dsan_ctx;
   try {
     serve::OffloadServer server(s.machine, s.tenants, s.options);
-    // Only the first run attaches the sanitizer: the determinism
-    // double-run would otherwise report every conflict twice.
-    std::optional<sim::dsan::Scope> dsan_scope;
-    if (with_dsan && sim::dsan::compiled_in()) dsan_scope.emplace(dsan_ctx);
+    server.engine().set_reverse_ties(s.reverse_ties);
     for (const auto& e : s.jobs) {
       const std::string tname = s.tenants[static_cast<std::size_t>(e.tenant)].name;
       const serve::JobSpec job = e.job;
@@ -67,10 +60,6 @@ RunOutcome run_once(const ServeScenarioSpec& s, bool with_dsan = false) {
   } catch (...) {
     out.threw = true;
     out.what = "non-standard exception";
-  }
-  dsan_ctx.finish();
-  for (const auto& v : dsan_ctx.violations()) {
-    out.dsan_violations.push_back(v.to_string());
   }
   return out;
 }
@@ -100,7 +89,6 @@ const std::vector<std::string>& serve_invariant_names() {
       "serve-progress",   "serve-conservation", "serve-fifo",
       "serve-audit",      "serve-accounting",   "serve-shed-legality",
       "serve-metrics",    "serve-memory-flat",  "serve-determinism",
-      "dsan-determinism",
   };
   return names;
 }
@@ -110,13 +98,10 @@ ServeOracleReport run_serve_oracle(const ServeScenarioSpec& s) {
   using serve::ServeEventKind;
   ServeOracleReport out;
 
-  const RunOutcome a = run_once(s, s.dsan);
+  const RunOutcome a = run_once(s);
   if (a.threw) {
     violate(out, "serve-progress", "run aborted: " + a.what);
     return out;
-  }
-  for (const auto& v : a.dsan_violations) {
-    out.violations.push_back(Violation{"dsan-determinism", "serve", v});
   }
   const serve::ServeReport& rep = a.report;
   out.summary_json = a.summary_json;

@@ -231,8 +231,8 @@ std::string serve_to_toml(const ServeScenarioSpec& s,
      << fmt_double(s.options.breaker_cooldown_cap_s) << "\n";
   os << "materialize = " << (s.options.materialize ? "true" : "false") << "\n";
   os << "step_budget = " << s.options.base.harness.step_budget << "\n";
-  // dsan key only when set: older repro files stay byte-identical.
-  if (s.dsan) os << "dsan = true\n";
+  // Only when set: canonical-order repro files stay byte-identical.
+  if (s.reverse_ties) os << "reverse_ties = true\n";
 
   for (std::size_t t = 0; t < s.tenants.size(); ++t) {
     const auto& ts = s.tenants[t];
@@ -388,7 +388,7 @@ ParsedServeScenario parse_serve_scenario(const std::string& text) {
         o.breaker_cooldown_cap_s = as_double();
       else if (key == "materialize") o.materialize = as_bool();
       else if (key == "step_budget") o.base.harness.step_budget = as_ll();
-      else if (key == "dsan") s.dsan = as_bool();
+      else if (key == "reverse_ties") s.reverse_ties = as_bool();
       else bad("unknown [serve] key '" + key + "'");
     } else if (tenant != nullptr) {
       auto& f = tenant->fault;

@@ -51,9 +51,10 @@ struct ServeScenarioSpec {
   std::vector<serve::TenantSpec> tenants;
   std::vector<ServeJobEntry> jobs;
 
-  /// Run the first oracle pass under an attached homp-dsan context
-  /// (docs/DETERMINISM.md). Serialized, so dsan repros replay in kind.
-  bool dsan = false;
+  /// Pop same-timestamp events newest-first on the server's engine
+  /// (docs/DETERMINISM.md). Serialized only when set, so a
+  /// --reverse-ties repro replays in that order.
+  bool reverse_ties = false;
 
   /// Set (not serialized) when loaded from a repro file.
   bool replay = false;

@@ -205,6 +205,9 @@ OffloadExecution::OffloadExecution(const mach::MachineDescriptor& machine,
     alive_ = std::make_shared<bool>(true);
   }
   opts_.validate_or_throw();
+  if (owned_engine_) {
+    owned_engine_->set_reverse_ties(opts_.harness.reverse_ties);
+  }
   if (region_envs_ != nullptr) {
     HOMP_REQUIRE(maps_.empty(),
                  "offloads inside a data region use the region's mappings; "
@@ -620,10 +623,6 @@ dist::Range OffloadExecution::take_requeue() {
 }
 
 void OffloadExecution::try_fetch(int slot) {
-  // One logical scheduler-fetch operation (dsan): same-timestamp sibling
-  // fetches commute — the engine's FIFO tie-break picks the documented
-  // winner, and a parallel engine replays fetches in (time, seq) order.
-  HOMP_DSAN_WRITE(dsan_sched_);
   if (cancelled_) {
     // Cancelled jobs fetch nothing more: every drain path funnels back
     // here, so the proxy parks the moment its pipeline empties.
@@ -1406,7 +1405,6 @@ bool OffloadExecution::integrity_slot_allowed(const IntegrityState& st,
 }
 
 void OffloadExecution::finish_commit(int slot, std::shared_ptr<OutRecord> rec) {
-  HOMP_DSAN_WRITE(dsan_commit_);
   Proxy& q = *proxies_[static_cast<std::size_t>(slot)];
   if (q.lost || rec->abandoned) return;  // quarantined during the scan
   ++q.stats.integrity_checks;
@@ -1655,8 +1653,6 @@ void OffloadExecution::on_device_lost(int slot) {
 
 void OffloadExecution::quarantine(int slot, sim::FaultKind kind,
                                   const std::string& detail) {
-  // Quarantine feeds the requeue — one logical scheduler mutation (dsan).
-  HOMP_DSAN_WRITE(dsan_sched_);
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (p.lost) return;
   p.lost = true;
@@ -1899,9 +1895,6 @@ bool OffloadExecution::claim_commit(int slot,
                                     const std::shared_ptr<SpecToken>& token,
                                     bool is_spec, bool is_probe,
                                     const dist::Range& range) {
-  // First-commit-wins claim (dsan): commutative — the winner under a
-  // parallel engine is fixed by canonical (time, seq) commit order.
-  HOMP_DSAN_WRITE(dsan_commit_);
   Proxy& p = *proxies_[static_cast<std::size_t>(slot)];
   if (token) {
     --token->runners;

@@ -177,6 +177,12 @@ struct HarnessOptions {
   /// defaulted seed silently reproduces a *different* fault trajectory.
   bool replay = false;
   std::uint64_t replay_seed = 0;
+
+  /// Pop same-timestamp events newest-first on the offload's private
+  /// engine (sim::Engine::set_reverse_ties; homp-fuzz --reverse-ties).
+  /// An offload on a shared engine (ExecContext) follows that engine's
+  /// order, which its owner sets.
+  bool reverse_ties = false;
 };
 
 struct OffloadOptions {

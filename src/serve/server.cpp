@@ -266,9 +266,6 @@ double OffloadServer::predicted_job_seconds(const std::string& kernel,
 SubmitResult OffloadServer::submit(
     const std::string& tenant, const JobSpec& job,
     std::function<void(const JobRecord&)> on_done) {
-  // One logical admission operation (dsan): same-instant arrivals
-  // commute — WFQ order is derived from credits, not arrival interleave.
-  HOMP_DSAN_WRITE(dsan_queues_);
   const int t = tenant_index(tenant);
   auto& ts = tenants_[t];
   auto& c = report_.counts[t];
@@ -479,8 +476,6 @@ std::vector<int> OffloadServer::grant_devices(int want) const {
 }
 
 void OffloadServer::dispatch() {
-  HOMP_DSAN_WRITE(dsan_queues_);
-  HOMP_DSAN_WRITE(dsan_grants_);
   dispatch_pending_ = false;
   while (true) {
     const int cls = pick_class();
@@ -519,7 +514,6 @@ void OffloadServer::dispatch() {
 
 void OffloadServer::place(int tenant, PendingJob&& pj,
                           const std::vector<int>& devices) {
-  HOMP_DSAN_WRITE(dsan_grants_);
   auto& ts = tenants_[tenant];
   const double now = engine_.now();
 
@@ -593,7 +587,6 @@ void OffloadServer::place(int tenant, PendingJob&& pj,
 }
 
 void OffloadServer::promote_vestibule(int tenant) {
-  HOMP_DSAN_WRITE(dsan_queues_);
   auto& ts = tenants_[tenant];
   auto& c = report_.counts[tenant];
   const double now = engine_.now();
@@ -613,8 +606,6 @@ void OffloadServer::promote_vestibule(int tenant) {
 }
 
 void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
-  // Releases grants + memory accounting — one logical operation (dsan).
-  HOMP_DSAN_WRITE(dsan_grants_);
   const double now = engine_.now();
   auto& c = report_.counts[job->tenant];
 
@@ -701,7 +692,6 @@ void OffloadServer::on_job_done(ActiveJob* job, rt::OffloadResult&& res) {
 }
 
 void OffloadServer::on_deadline(int tenant, std::uint64_t job_id) {
-  HOMP_DSAN_WRITE(dsan_queues_);
   auto& ts = tenants_[tenant];
   const double now = engine_.now();
 

@@ -235,18 +235,6 @@ class OffloadServer {
   /// kicks, deadline timers); the destructor cancels the lot.
   sim::Engine::GenTag gen_ = 0;
 
-#if HOMP_DSAN_ENABLED
-  /// dsan cells (docs/DETERMINISM.md). Queue mutations (submit, promote,
-  /// deadline cancel) and grant/accounting mutations (place, release)
-  /// commute: WFQ picks and device grants are re-derived from the full
-  /// state at dispatch time in canonical order, not from arrival
-  /// interleaving within a timestamp.
-  sim::dsan::Cell dsan_queues_{"serve/queues",
-                               sim::dsan::CellKind::kCommutative};
-  sim::dsan::Cell dsan_grants_{"serve/grants",
-                               sim::dsan::CellKind::kCommutative};
-#endif
-
   ServeReport report_;
 };
 

@@ -9,17 +9,13 @@
 /// makes multi-device scheduling experiments deterministic and independent
 /// of the host's actual core count (see DESIGN.md §2).
 ///
-/// The engine is deliberately minimal: an ordered queue of (time, seq,
-/// callback). Events scheduled for the same instant run in scheduling
-/// order (FIFO), which gives dynamic-chunk acquisition a well-defined,
-/// reproducible winner on ties.
-///
 /// Tie-break contract (docs/DETERMINISM.md): events pop in strict
-/// (time, seq) lexicographic order, where seq is the global scheduling
-/// sequence number — FIFO within a timestamp, regardless of generation
-/// tag or cancellation history. Every event therefore has the stable
-/// identity (timestamp, generation, seq) that homp-dsan (sim/dsan.h)
-/// reasons about.
+/// (time, seq) order, where seq is the global scheduling sequence number —
+/// FIFO within a timestamp, regardless of generation tag or cancellation
+/// history, which gives dynamic-chunk acquisition a reproducible winner on
+/// ties. set_reverse_ties() pops same-timestamp events newest-first
+/// instead; homp-fuzz --reverse-ties runs the invariant oracles under it
+/// to catch logic that silently depends on the canonical order.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,7 +25,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "sim/dsan.h"
 #include "sim/time.h"
 
 namespace homp::sim {
@@ -84,10 +79,7 @@ class Engine {
 
   /// Number of generations that currently have at least one pending
   /// event — the memory-flatness gauge: a drained server must read 0.
-  std::size_t live_generations() const {
-    HOMP_DSAN_READ(dsan_queue_);
-    return gens_.size();
-  }
+  std::size_t live_generations() const { return gens_.size(); }
 
   /// Run until the queue is empty (or stop() is called from a callback).
   /// stop() only interrupts the current drain: a later run()/run_until()
@@ -111,32 +103,29 @@ class Engine {
   void stop() noexcept { stopped_ = true; }
 
   /// True when no pending (non-cancelled) events remain.
-  /// dsan: reading drain state from inside an event races with sibling
-  /// schedules/cancels at the same timestamp, so it is a tracked read.
-  bool idle() const { HOMP_DSAN_READ(dsan_queue_); return live_events_ == 0; }
+  bool idle() const { return live_events_ == 0; }
 
   /// Pending (non-cancelled) events across all generations.
-  std::size_t live_events() const {
-    HOMP_DSAN_READ(dsan_queue_);
-    return live_events_;
-  }
+  std::size_t live_events() const { return live_events_; }
+
+  /// Pop same-timestamp events newest-first (true) instead of in the
+  /// canonical FIFO order (false, the default). Only legal while idle():
+  /// the order applies to events scheduled after the call. Results must
+  /// not depend on it; schedules may (docs/DETERMINISM.md).
+  void set_reverse_ties(bool reverse);
 
   std::size_t events_processed() const noexcept { return processed_; }
 
  private:
   struct Entry {
     Time t;
-    std::uint64_t seq;  // FIFO tie-break and cancellation id
+    std::uint64_t key;  // pop order within t: seq, or ~seq when reversed
+    std::uint64_t seq;  // cancellation id
     GenTag tag;         // 0 = untagged
-#if HOMP_DSAN_ENABLED
-    // seq of the scheduling event when it ran at this same timestamp
-    // (the zero-delay causal edge homp-dsan follows).
-    std::uint64_t parent = dsan::Context::kNoParent;
-#endif
     Callback fn;
     bool operator>(const Entry& o) const noexcept {
       if (t != o.t) return t > o.t;
-      return seq > o.seq;
+      return key > o.key;
     }
   };
 
@@ -160,15 +149,7 @@ class Engine {
   std::size_t processed_ = 0;
   std::size_t live_events_ = 0;
   bool stopped_ = false;
-#if HOMP_DSAN_ENABLED
-  // Identity of the event currently executing (for the zero-delay
-  // causal edge) and the queue's own dsan cell: schedules and cancels
-  // commute (the parallel engine merges them canonically at the
-  // timestamp barrier), but reads of drain state do not.
-  std::uint64_t cur_seq_ = 0;
-  bool in_cb_ = false;
-  dsan::Cell dsan_queue_{"engine/queue", dsan::CellKind::kCommutative};
-#endif
+  bool reverse_ties_ = false;
 };
 
 }  // namespace homp::sim

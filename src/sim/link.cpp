@@ -42,7 +42,6 @@ void SharedLink::transfer(double bytes, std::function<void()> done) {
 }
 
 void SharedLink::admit(double bytes, std::function<void()> done) {
-  HOMP_DSAN_WRITE(dsan_lanes_);
   advance();
   active_.push_back(Active{bytes, bytes, std::move(done)});
   reschedule();
@@ -75,7 +74,6 @@ void SharedLink::reschedule() {
 }
 
 void SharedLink::on_completion_event() {
-  HOMP_DSAN_WRITE(dsan_lanes_);
   has_pending_event_ = false;
   advance();
   // Collect finished transfers first: a done-callback may start a new

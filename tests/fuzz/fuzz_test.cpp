@@ -78,10 +78,12 @@ TEST(FuzzScenario, MachineTextRoundTripsExactly) {
 
 TEST(FuzzScenario, TomlRoundTripsExactly) {
   for (std::uint64_t seed : {1ull, 7ull, 22ull, 75ull}) {
-    const auto s = fuzz::generate_scenario(seed);
+    auto s = fuzz::generate_scenario(seed);
+    s.reverse_ties = seed == 7;
     const std::string once =
         fuzz::to_toml(s, "repro.ini", "progress", "BLOCK");
     const auto parsed = fuzz::parse_scenario(once);
+    EXPECT_EQ(parsed.scenario.reverse_ties, s.reverse_ties);
     EXPECT_EQ(parsed.machine_file, "repro.ini");
     EXPECT_EQ(parsed.invariant, "progress");
     EXPECT_EQ(parsed.algorithm, "BLOCK");

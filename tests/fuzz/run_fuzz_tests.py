@@ -11,6 +11,8 @@ Contract under test (docs/FUZZING.md):
     a self-contained repro pair (.toml + .ini);
   * `--replay` on that repro re-runs it deterministically and exits 0
     reporting the same invariant failing;
+  * `--reverse-ties` corpora (both modes) are clean and deterministic,
+    differ from canonical order, and record the mode in their repros;
   * usage errors exit 2.
 
 Needs the homp-fuzz binary: pass --fuzz-bin, as the ctest entry does.
@@ -96,60 +98,49 @@ class PlantedViolation(unittest.TestCase):
         self.assertIn(failure["invariant"], rep.stdout)
 
 
-class DsanSanitizer(unittest.TestCase):
-    def test_planted_dsan_conflict_is_caught_shrunk_and_replayable(self):
-        """`--plant dsan-conflict` schedules two same-timestamp writes to
-        an ordered cell with no happens-before edge; homp-dsan must flag
-        them, the shrinker must minimize the carrier scenario, and the
-        repro (written as dsan-repro-<seed>.toml) must replay."""
-        repro_dir = os.path.join(WORK.name, "dsan-planted")
-        r = fuzz("--seed", "5", "--count", "1", "--plant", "dsan-conflict",
-                 "--repro-dir", repro_dir)
+class ReverseTies(unittest.TestCase):
+    """--reverse-ties pops same-timestamp events newest-first in every
+    engine the corpus runs (docs/DETERMINISM.md): schedules may change,
+    results and invariants may not."""
+
+    def check_corpus(self, *mode):
+        args = (*mode, "--seed", "3", "--count", "6",
+                "--repro-dir", os.path.join(WORK.name, "rev" + "".join(mode)))
+        a = fuzz("--reverse-ties", *args)
+        b = fuzz("--reverse-ties", *args)
+        can = fuzz(*args)
+        for r in (a, b, can):
+            self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertEqual(a.stdout, b.stdout,
+                         "--reverse-ties summary JSON is not deterministic")
+        rev, can = json.loads(a.stdout), json.loads(can.stdout)
+        self.assertTrue(rev["config"]["reverse_ties"])
+        self.assertFalse(can["config"]["reverse_ties"])
+        # Digests fold engine event counts and virtual times, so a mode
+        # that reached the engines changes some of them.
+        self.assertNotEqual([r["digest"] for r in rev["runs"]],
+                            [r["digest"] for r in can["runs"]])
+
+    def test_corpus_is_clean_deterministic_and_reaches_the_engines(self):
+        self.check_corpus()
+
+    def test_serve_corpus_is_clean_deterministic_and_reaches_the_engine(self):
+        self.check_corpus("--serve")
+
+    def test_reverse_ties_is_recorded_in_the_repro_and_replayed(self):
+        r = fuzz("--reverse-ties", "--seed", "11", "--count", "1",
+                 "--plant", "corrupt-commit",
+                 "--repro-dir", os.path.join(WORK.name, "rev-planted"))
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        doc = json.loads(r.stdout)
-        self.assertTrue(doc["config"]["dsan"])
-        self.assertIn("dsan-determinism", doc["invariants"])
-        failure = doc["failures"][0]
-        self.assertEqual(failure["invariant"], "dsan-determinism")
-        self.assertIn("concurrent", failure["detail"])
-
-        toml = failure["repro"]
-        self.assertEqual(os.path.basename(toml),
-                         "dsan-repro-%d.toml" % failure["seed"])
-        self.assertTrue(os.path.exists(toml), toml)
-        self.assertLessEqual(failure["shrunk_devices"], 6)
-
+        toml = json.loads(r.stdout)["failures"][0]["repro"]
+        with open(toml, encoding="utf-8") as f:
+            self.assertIn("reverse_ties = true\n", f.read())
         rep = fuzz("--replay", toml)
         self.assertEqual(rep.returncode, 0, rep.stdout + rep.stderr)
         self.assertIn("REPRODUCED", rep.stdout)
-        self.assertIn("dsan-determinism", rep.stdout)
-
-    def test_dsan_corpus_is_clean_and_deterministic(self):
-        """A --dsan sweep over a fixed-seed corpus reports zero
-        violations and byte-identical summaries across two runs: the
-        sanitizer itself must not perturb simulation results."""
-        args = ("--dsan", "--seed", "3", "--count", "6",
-                "--repro-dir", os.path.join(WORK.name, "dsan-det"))
-        a = fuzz(*args)
-        b = fuzz(*args)
-        self.assertEqual(a.returncode, 0, a.stdout + a.stderr)
-        self.assertEqual(a.stdout, b.stdout,
-                         "--dsan summary JSON is not deterministic")
-        doc = json.loads(a.stdout)
-        self.assertTrue(doc["config"]["dsan"])
-        self.assertEqual(doc["violations"], 0)
-
-    def test_serve_dsan_corpus_is_clean_and_deterministic(self):
-        args = ("--serve", "--dsan", "--seed", "3", "--count", "4",
-                "--repro-dir", os.path.join(WORK.name, "dsan-serve"))
-        a = fuzz(*args)
-        b = fuzz(*args)
-        self.assertEqual(a.returncode, 0, a.stdout + a.stderr)
-        self.assertEqual(a.stdout, b.stdout)
-        self.assertEqual(json.loads(a.stdout)["violations"], 0)
 
     def test_serve_mode_rejects_planting(self):
-        r = fuzz("--serve", "--plant", "dsan-conflict")
+        r = fuzz("--serve", "--plant", "corrupt-commit")
         self.assertEqual(r.returncode, 2)
 
 

@@ -61,10 +61,12 @@ TEST(ServeScenario, GeneratedScenariosAreAlwaysValid) {
 
 TEST(ServeScenario, TomlRoundTripsExactly) {
   for (std::uint64_t seed : {1ull, 7ull, 22ull}) {
-    const auto s = fuzz::generate_serve_scenario(seed);
+    auto s = fuzz::generate_serve_scenario(seed);
+    s.reverse_ties = seed == 7;
     const std::string once =
         fuzz::serve_to_toml(s, "serve-repro.ini", "serve-progress");
     const auto parsed = fuzz::parse_serve_scenario(once);
+    EXPECT_EQ(parsed.scenario.reverse_ties, s.reverse_ties);
     EXPECT_EQ(parsed.machine_file, "serve-repro.ini");
     EXPECT_EQ(parsed.invariant, "serve-progress");
     auto round = parsed.scenario;

@@ -21,7 +21,7 @@ TEST(Lexer, TokenizesOperatorsAndLiterals) {
   EXPECT_EQ(toks.back().kind, Tok::kEnd);
 }
 
-TEST(Lexer, SkipsTypeKeywordsAndComments) {
+TEST(Lexer, SkipsTypeKeywordAndCommentTokens) {
   auto toks = lex("int i; /* block\ncomment */ double resid;");
   // 'int' and 'double' vanish: "i ; resid ;"
   ASSERT_EQ(toks.size(), 5u);

@@ -46,7 +46,6 @@ BAD_FIXTURES = {
     fx("advise", "bad_hl005_keys.h"): ("HL005", 2),
     fx("serve", "src", "serve", "bad_hl006.cpp"): ("HL006", 4),
     fx("bad_hl007_report.cpp"): ("HL007", 2),
-    fx("bad_hl008.cpp"): ("HL008", 2),
 }
 
 CLEAN_FIXTURES = [
@@ -68,8 +67,6 @@ CLEAN_FIXTURES = [
     fx("serve", "src", "serve", "suppressed_hl006.cpp"),
     fx("good_hl007_report.cpp"),
     fx("suppressed_hl007_report.cpp"),
-    fx("good_hl008.cpp"),
-    fx("suppressed_hl008.cpp"),
 ]
 
 

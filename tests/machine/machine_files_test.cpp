@@ -23,7 +23,7 @@ std::string repo_machine_path(const std::string& name) {
 
 class MachineFiles : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(MachineFiles, LoadsAndMatchesBuiltin) {
+TEST_P(MachineFiles, LoadedFileMatchesBuiltin) {
   const std::string path = repo_machine_path(GetParam());
   if (path.empty()) GTEST_SKIP() << "machines/ not found from cwd";
   auto from_file = load_machine_file(path);

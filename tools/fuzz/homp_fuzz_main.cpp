@@ -3,8 +3,10 @@
 ///
 ///   homp-fuzz --seed N --count M [--max-devices K] [--repro-dir DIR]
 ///             [--summary-out FILE] [--no-shrink] [--plant corrupt-commit]
+///             [--reverse-ties]
 ///   homp-fuzz --serve --seed N --count M [--max-tenants T] [--max-jobs J]
 ///             [--repro-dir DIR] [--summary-out FILE] [--no-shrink]
+///             [--reverse-ties]
 ///   homp-fuzz --replay FILE.toml
 ///
 /// --replay sniffs the repro file: a [serve] section replays through the
@@ -29,7 +31,6 @@
 #include "common/error.h"
 #include "fuzz/driver.h"
 #include "fuzz/serve_driver.h"
-#include "sim/dsan.h"
 
 namespace {
 
@@ -49,15 +50,9 @@ void usage(std::ostream& os) {
         "                     plant the acceptance-test violation into\n"
         "                     every scenario (integrity off + scripted\n"
         "                     silent compute corruption)\n"
-        "  --plant dsan-conflict\n"
-        "                     plant a same-timestamp write-write conflict\n"
-        "                     the determinism sanitizer must catch\n"
-        "                     (implies --dsan; not a serve-mode option)\n"
-        "  --dsan             sweep the corpus under homp-dsan\n"
-        "                     (docs/DETERMINISM.md): same-timestamp\n"
-        "                     conflicts become dsan-determinism failures\n"
-        "                     and dsan-repro-<seed> files; works in both\n"
-        "                     corpus modes\n"
+        "  --reverse-ties     pop same-timestamp events newest-first\n"
+        "                     (docs/DETERMINISM.md): every invariant must\n"
+        "                     still hold; works in both corpus modes\n"
         "\n"
         "serve mode (--serve): multi-tenant server scenarios checked\n"
         "against the serve-invariant catalog (fault containment, breaker,\n"
@@ -178,16 +173,13 @@ int main(int argc, char** argv) {
         const std::string what = value();
         if (what == "corrupt-commit") {
           cfg.plant = true;
-        } else if (what == "dsan-conflict") {
-          cfg.plant_dsan = true;
         } else {
-          throw homp::ConfigError(
-              "unknown --plant mode '" + what +
-              "' (corrupt-commit or dsan-conflict)");
+          throw homp::ConfigError("unknown --plant mode '" + what +
+                                  "' (corrupt-commit)");
         }
-      } else if (arg == "--dsan") {
-        cfg.dsan = true;
-        serve_cfg.dsan = true;
+      } else if (arg == "--reverse-ties") {
+        cfg.reverse_ties = true;
+        serve_cfg.reverse_ties = true;
       } else if (arg == "--replay") {
         replay_path = value();
       } else {
@@ -195,19 +187,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    if ((cfg.dsan || serve_cfg.dsan || cfg.plant_dsan) &&
-        !homp::sim::dsan::compiled_in()) {
-      std::cerr << "homp-fuzz: --dsan needs the sanitizer compiled in "
-                   "(rebuild without -DHOMP_DSAN=OFF)\n";
-      return 2;
-    }
-
     if (!replay_path.empty()) {
       return run_replay(replay_path);
     }
 
     if (serve) {
-      if (cfg.plant || cfg.plant_dsan) {
+      if (cfg.plant) {
         throw homp::ConfigError("--plant is not a serve-mode option");
       }
       const auto summary = homp::fuzz::run_serve_fuzz(serve_cfg);

@@ -58,13 +58,6 @@ HL007  unordered-export-iter  Range-for over a std::unordered_map /
                               across libc++/libstdc++ and hash seeds, so
                               anything serialized from it silently stops
                               being byte-identical (docs/DETERMINISM.md).
-HL008  untracked-event-write  Direct mutation of a dsan-tracked member
-                              (tools/lint/dsan_cells.toml roster) inside an
-                              event lambda at a deferred-execution site.
-                              Writes to tracked shared state must route
-                              through the owning object's accessor carrying
-                              HOMP_DSAN_READ/WRITE, or the determinism
-                              sanitizer never sees them.
 
 Suppression
 -----------
@@ -104,7 +97,6 @@ CHECKS = {
     "HL005": "dead-telemetry",
     "HL006": "untagged-serve-timer",
     "HL007": "unordered-export-iter",
-    "HL008": "untracked-event-write",
 }
 
 SUPPRESS_RE = re.compile(r"homp-lint:\s*allow\(([^)]*)\)")
@@ -716,116 +708,6 @@ def check_hl007(sf, diags):
 
 
 # ---------------------------------------------------------------------------
-# HL008 — tracked-state writes from event lambdas bypassing dsan accessors
-# ---------------------------------------------------------------------------
-
-MUTATOR_METHODS = (
-    "push_back|push_front|pop_back|pop_front|erase|insert|emplace\\w*"
-    "|clear|resize|assign")
-
-
-def load_dsan_roster(path):
-    """Parse the [tracked] members list from dsan_cells.toml.  Returns []
-    when the file does not exist (HL008 then has nothing to check)."""
-    if not os.path.isfile(path):
-        return []
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise ConfigError("cannot read dsan roster %s: %s" % (path, e))
-    try:
-        import tomllib
-        data = tomllib.loads(raw.decode("utf-8"))
-        members = data.get("tracked", {}).get("members", [])
-    except ModuleNotFoundError:
-        members = _parse_roster_fallback(raw.decode("utf-8"), path)
-    except Exception as e:  # tomllib.TOMLDecodeError
-        raise ConfigError("malformed %s: %s" % (path, e))
-    if not isinstance(members, list) or not all(
-            isinstance(x, str) and x for x in members):
-        raise ConfigError("%s: [tracked] members must be a list of "
-                          "non-empty strings" % path)
-    return sorted(set(members))
-
-
-def _parse_roster_fallback(text, path):
-    in_table = False
-    buf = None
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        if re.match(r"^\s*\[tracked\]\s*$", line):
-            in_table = True
-            continue
-        if re.match(r"^\s*\[", line):
-            in_table = False
-            continue
-        if in_table:
-            m = re.match(r"^\s*members\s*=\s*\[(.*)$", line)
-            if m is not None:
-                buf = m.group(1)
-            elif buf is not None:
-                buf += " " + line
-            if buf is not None and "]" in buf:
-                inner = buf[:buf.index("]")]
-                return [t.strip().strip('"').strip("'")
-                        for t in inner.split(",") if t.strip()]
-    if buf is not None:
-        raise ConfigError("%s: unterminated members list" % path)
-    return []
-
-
-def _matching_brace(clean, open_idx):
-    depth = 0
-    for i in range(open_idx, len(clean)):
-        if clean[i] == "{":
-            depth += 1
-        elif clean[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(clean) - 1
-
-
-def check_hl008(sf, diags, roster):
-    if not roster:
-        return
-    mut_re = re.compile(
-        r"\b(%s)\s*(?:\.|->)\s*(?:%s)\s*\(|\b(%s)\s*=(?!=)"
-        % ("|".join(map(re.escape, roster)), MUTATOR_METHODS,
-           "|".join(map(re.escape, roster))))
-    for m in DEFERRED_SITE_RE.finditer(sf.clean):
-        open_idx = m.end() - 1
-        close_idx = _matching_paren(sf.clean, open_idx)
-        args = sf.clean[open_idx + 1:close_idx]
-        for lm in LAMBDA_INTRO_RE.finditer(args):
-            body_open = args.find("{", lm.end())
-            if body_open == -1:
-                continue
-            abs_open = open_idx + 1 + body_open
-            abs_close = _matching_brace(sf.clean, abs_open)
-            body = sf.clean[abs_open:abs_close + 1]
-            for bm in mut_re.finditer(body):
-                name = bm.group(1) or bm.group(2)
-                line = sf.line_of(abs_open + bm.start())
-                if sf.suppressed(line, "HL008"):
-                    continue
-                diags.append(Diagnostic(
-                    "HL008", sf.path, line,
-                    "event lambda mutates dsan-tracked state '%s' directly; "
-                    "the write bypasses the tracked accessor, so homp-dsan "
-                    "cannot see it and the happens-before analysis is blind "
-                    "to the conflict" % name,
-                    "route the mutation through the owning object's accessor "
-                    "method carrying HOMP_DSAN_WRITE (docs/DETERMINISM.md "
-                    "\"Tracked cells\"), or update "
-                    "tools/lint/dsan_cells.toml if the member is no longer "
-                    "tracked"))
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -848,7 +730,7 @@ def collect_files(paths):
     return files, errors
 
 
-def _run_file_checks(sf, diags, enabled, strict, layers, roster):
+def _run_file_checks(sf, diags, enabled, strict, layers):
     """Every per-file check (HL005 is cross-file and runs separately)."""
     if "HL001" in enabled:
         check_hl001(sf, diags, strict, exempt_tests=True)
@@ -862,15 +744,13 @@ def _run_file_checks(sf, diags, enabled, strict, layers, roster):
         check_hl006(sf, diags)
     if "HL007" in enabled:
         check_hl007(sf, diags)
-    if "HL008" in enabled:
-        check_hl008(sf, diags, roster)
 
 
 def _scan_worker(task):
     """Pool worker: parse one file and run the per-file checks.  Returns
     (path, text, clean, diag_tuples, error) — plain picklable types; the
     parent reassembles SourceFile (for HL005) and Diagnostic objects."""
-    path, enabled, strict, layers, roster = task
+    path, enabled, strict, layers = task
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
@@ -878,7 +758,7 @@ def _scan_worker(task):
         return (path, None, None, [], str(e))
     sf = SourceFile(path, text)
     diags = []
-    _run_file_checks(sf, diags, enabled, strict, layers, roster)
+    _run_file_checks(sf, diags, enabled, strict, layers)
     return (path, text, sf.clean,
             [(d.check_id, d.path, d.line, d.message, d.hint) for d in diags],
             None)
@@ -903,7 +783,7 @@ def changed_files():
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="homp_lint.py",
-        description="HOMP project-invariant static analysis (HL001-HL008).")
+        description="HOMP project-invariant static analysis (HL001-HL007).")
     ap.add_argument("paths", nargs="*", default=[],
                     help="files or directories to scan (default: src tests)")
     ap.add_argument("--json", action="store_true",
@@ -911,9 +791,6 @@ def main(argv=None):
     ap.add_argument("--config", default=None,
                     help="layer DAG TOML (default: layers.toml next to this "
                          "script)")
-    ap.add_argument("--dsan-cells", default=None,
-                    help="HL008 tracked-member roster TOML (default: "
-                         "dsan_cells.toml next to this script)")
     ap.add_argument("--strict", action="store_true",
                     help="disable built-in path exemptions (HL001 under "
                          "tests/bench/examples); used by the fixture suite")
@@ -948,11 +825,8 @@ def main(argv=None):
     paths = args.paths or ["src", "tests"]
     script_dir = os.path.dirname(os.path.abspath(__file__))
     config = args.config or os.path.join(script_dir, "layers.toml")
-    roster_path = args.dsan_cells or os.path.join(script_dir,
-                                                  "dsan_cells.toml")
     try:
         layers = load_layers(config)
-        roster = load_dsan_roster(roster_path) if "HL008" in enabled else []
     except ConfigError as e:
         print("homp-lint: %s" % e, file=sys.stderr)
         return 2
@@ -985,8 +859,7 @@ def main(argv=None):
     diags = []
     files = []
     if jobs > 1 and len(file_paths) > 8:
-        tasks = [(p, enabled, args.strict, layers, roster)
-                 for p in file_paths]
+        tasks = [(p, enabled, args.strict, layers) for p in file_paths]
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_scan_worker, tasks, chunksize=8)
         for path, text, clean, dtuples, err in results:
@@ -1008,7 +881,7 @@ def main(argv=None):
                 return 2
             if need_sources:
                 files.append(sf)
-            _run_file_checks(sf, diags, enabled, args.strict, layers, roster)
+            _run_file_checks(sf, diags, enabled, args.strict, layers)
     if "HL005" in enabled:
         check_hl005(files, diags, args.telemetry_struct, args.telemetry_enum)
 
