@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "common/error.h"
 #include "kernels/axpy.h"
 #include "kernels/case.h"
 #include "kernels/sum.h"
@@ -216,6 +217,32 @@ TEST(Integrity, PersistentCorruptionExhaustsAttemptsAndThrows) {
   auto maps = c.maps();
   auto kernel = c.kernel();
   EXPECT_THROW(rt.offload(kernel, maps, o), OffloadError);
+}
+
+TEST(Integrity, UnreachableQuorumExhaustsAttemptsAndThrows) {
+  // Voting opens after the first mismatch, and 60% of transfers corrupt:
+  // ballots keep disagreeing (or failing verification) until the chunk's
+  // execution budget runs out before two ballots ever agree.
+  rt::Runtime rt{mach::testing_machine(2)};
+  kern::AxpyCase c(1000, /*materialize=*/true);
+  c.init();
+  rt::OffloadOptions o;
+  o.device_ids = {1, 2};
+  o.sched.kind = sched::AlgorithmKind::kBlock;
+  o.integrity.verify_copy_in = false;
+  o.integrity.vote_after_failures = 1;
+  o.integrity.quarantine_threshold = 0;  // keep both devices voting
+  o.integrity.max_attempts = 6;
+  o.fault.extra.corrupt_transfer_rate = 0.6;
+  o.fault.seed = 9;
+  auto maps = c.maps();
+  auto kernel = c.kernel();
+  try {
+    (void)rt.offload(kernel, maps, o);
+    ADD_FAILURE() << "expected the integrity quorum to be exhausted";
+  } catch (const OffloadError& e) {
+    EXPECT_EQ(e.fail_class(), FailClass::kQuorumExhausted) << e.what();
+  }
 }
 
 TEST(Integrity, RepeatedFailuresTripTheCircuitBreaker) {

@@ -192,6 +192,57 @@ TEST(Watchdog, SpeculationKeepsHangSlowdownBounded) {
       << "speculation must cap the hang penalty below 2x";
 }
 
+TEST(Watchdog, CorruptedSpeculativeCopyIsDiscardedBitCorrectly) {
+  // Device 2 hangs on its first chunk, which is speculated onto the
+  // survivors; device 1 corrupts the kernel result of the copy it runs.
+  // The corrupted copy of the speculated chunk is discarded before
+  // commit and hands its integrity state to the chunk's other copies.
+  struct Case {
+    sched::AlgorithmKind alg;
+    long long corrupt_op;  // device 1's compute op running the duplicate
+  };
+  const Case cases[] = {{sched::AlgorithmKind::kBlock, 1},
+                        {sched::AlgorithmKind::kDynamic, 2}};
+  for (const Case& k : cases) {
+    rt::Runtime rt{mach::testing_machine(3)};
+    kern::AxpyCase c(1000, /*materialize=*/true);
+    rt::OffloadOptions o;
+    o.device_ids = {1, 2, 3};
+    o.sched.kind = k.alg;
+    tighten(o);
+    sim::ScriptedFault hang;
+    hang.device_id = 2;
+    hang.kind = sim::FaultKind::kHang;
+    hang.op = 0;
+    sim::ScriptedFault corrupt;
+    corrupt.device_id = 1;
+    corrupt.kind = sim::FaultKind::kCorruptCompute;
+    corrupt.op = k.corrupt_op;
+    o.fault.scripted = {hang, corrupt};
+
+    rt::OffloadResult res;
+    std::string why;
+    ASSERT_TRUE(run_and_verify(rt, c, o, &res, &why))
+        << sched::to_string(k.alg) << ": " << why;
+    EXPECT_EQ(res.total_iterations(), 1000) << sched::to_string(k.alg);
+    // The mismatch struck a copy of the speculated chunk.
+    std::string speculated;
+    for (const auto& e : res.recovery_events) {
+      if (e.action == rt::RecoveryAction::kSpeculated) {
+        speculated = e.detail.substr(0, e.detail.find(' '));
+      }
+    }
+    ASSERT_FALSE(speculated.empty()) << sched::to_string(k.alg);
+    EXPECT_TRUE(std::any_of(
+        res.recovery_events.begin(), res.recovery_events.end(),
+        [&](const rt::RecoveryEvent& e) {
+          return e.action == rt::RecoveryAction::kCorruptionDetected &&
+                 e.device_id == 1 && e.detail.rfind(speculated + " ", 0) == 0;
+        }))
+        << sched::to_string(k.alg);
+  }
+}
+
 TEST(Watchdog, ProbationReadmitsAfterTransientBurst) {
   // ISSUE acceptance: a device quarantined by a transient burst is
   // re-admitted via probation and contributes iterations again within the
