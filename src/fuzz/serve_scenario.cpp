@@ -68,7 +68,10 @@ sim::FaultProfile draw_tenant_fault(Prng& rng) {
     return f;
   }
   if (band == 7) {  // molasses: admission-invisible 16-64x chunk slowdown
-    f.slowdown_rate = 0.9 + 0.001 * static_cast<double>(rng.below(101));
+    // Rates must stay below 1 (FaultProfile::validate); clamping keeps
+    // the draw, so every other generated value is unchanged.
+    f.slowdown_rate =
+        std::min(0.999, 0.9 + 0.001 * static_cast<double>(rng.below(101)));
     f.slowdown_factor = static_cast<double>(1LL << irange(rng, 4, 6));
     return f;
   }

@@ -13,6 +13,8 @@ Contract under test (docs/FUZZING.md):
     reporting the same invariant failing;
   * `--reverse-ties` corpora (both modes) are clean and deterministic,
     differ from canonical order, and record the mode in their repros;
+  * every generated serve scenario is valid (seed 618 once drew an
+    out-of-range slowdown rate);
   * usage errors exit 2.
 
 Needs the homp-fuzz binary: pass --fuzz-bin, as the ctest entry does.
@@ -142,6 +144,14 @@ class ReverseTies(unittest.TestCase):
     def test_serve_mode_rejects_planting(self):
         r = fuzz("--serve", "--plant", "corrupt-commit")
         self.assertEqual(r.returncode, 2)
+
+
+class ServeGenerator(unittest.TestCase):
+    def test_molasses_tenant_rate_stays_in_range(self):
+        r = fuzz("--serve", "--seed", "618", "--count", "1",
+                 "--repro-dir", os.path.join(WORK.name, "serve618"))
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertEqual(json.loads(r.stdout)["violations"], 0)
 
 
 class ErrorContract(unittest.TestCase):
