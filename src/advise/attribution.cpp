@@ -376,7 +376,11 @@ std::vector<Inspection> attribute(const Session& session,
   for (const RunAudit& run : session.runs) {
     attribute_run(session, run, opt, raw);
   }
+  // A trace repeats every decision its run's audit holds, so traces are
+  // decision evidence only in sessions that carry no audit.
+  const bool traces_decide = session.runs.empty();
   for (const TraceEvidence& tr : session.traces) {
+    if (traces_decide) attribute_run(session, tr.audit, opt, raw);
     attribute_trace(tr, opt, raw);
   }
   for (const ServeAudit& run : session.serve_runs) {
@@ -423,7 +427,8 @@ std::vector<Inspection> attribute(const Session& session,
                ins.kind == kKindBreakerFlap) {
       ins.runs_total = session.serve_runs.size();
     } else {
-      ins.runs_total = session.runs.size();
+      ins.runs_total =
+          traces_decide ? session.traces.size() : session.runs.size();
     }
     ins.saving_s = ins.runs_present > 0
                        ? m.saving_sum / static_cast<double>(ins.runs_present)

@@ -13,15 +13,15 @@ namespace homp::advise {
 namespace {
 
 /// The registry's deterministic rendering rule: integers bare, all other
-/// finite doubles through %.17g.
-std::string num(double v) {
+/// finite doubles through %.17g (or fewer significant `digits`).
+std::string num(double v, int digits = 17) {
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     return buf;
   }
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
   return buf;
 }
 
@@ -107,6 +107,22 @@ void write_report_json(const std::vector<Inspection>& findings,
   os << "\n  ]\n}\n";
 }
 
+void write_summary(const TraceEvidence& tr, std::ostream& os) {
+  // 12 significant digits: the figures are microseconds derived from
+  // second-scaled intervals, and the last digits are rounding noise.
+  os << "homp-advise summary: " << tr.origin << '\n';
+  for (const auto& [key, v] : tr.summary) {
+    os << key << ": " << (v.is_string() ? v.string() : num(v.number(), 12))
+       << '\n';
+  }
+  if (tr.timeline.empty()) return;
+  os << "timeline:\n";
+  for (const TraceInstant& in : tr.timeline) {
+    os << "  t=" << num(in.ts_us, 12) << "us " << in.device << ' ' << in.cat
+       << ": " << in.name << '\n';
+  }
+}
+
 namespace {
 
 /// Leaf name of a flattened path ("scenarios/x/events_per_sec" ->
@@ -140,13 +156,16 @@ Direction direction_of(const std::string& path) {
     if (brace != std::string::npos) name.resize(brace);
     if (name != "value") k = name;
   }
-  if (ends_with(k, "_per_sec") || contains(k, "goodput")) {
+  if (ends_with(k, "_per_sec") || contains(k, "goodput") ||
+      k == kSumOverlapRatio) {
     return Direction::kHigherBetter;
   }
   if (contains(k, "p99") || contains(k, "p50") || contains(k, "latency") ||
       contains(k, "violation") || ends_with(k, "_seconds") ||
       ends_with(k, "_seconds_total") || k == "total_time_s" ||
-      k == "makespan_s" || ends_with(k, "overhead")) {
+      k == "makespan_s" || ends_with(k, "overhead") || k == kSumTotalTime ||
+      ends_with(k, kSumCriticalPath) || ends_with(k, kSumMakespan) ||
+      ends_with(k, kSumImbalance)) {
     return Direction::kLowerBetter;
   }
   return Direction::kNeutral;
@@ -191,6 +210,23 @@ void flatten(const Json& v, const std::string& path,
   }
 }
 
+/// The diffable leaves of an artifact. A trace diffs by its summary, not
+/// its raw events; a text value joins its key ("critical_device=gpu1"),
+/// so a changed device shows as one key leaving and another arriving.
+void leaves(const Json& doc, std::vector<std::pair<std::string, double>>& out) {
+  if (classify(doc) != ArtifactKind::kTrace) {
+    flatten(doc, "", out);
+    return;
+  }
+  for (const auto& [key, v] : reduce_trace(doc).summary) {
+    if (v.is_string()) {
+      out.emplace_back(key + '=' + v.string(), 1.0);
+    } else {
+      out.emplace_back(key, v.number());
+    }
+  }
+}
+
 }  // namespace
 
 DiffResult diff_artifacts(const Json& before, const Json& after,
@@ -201,8 +237,8 @@ DiffResult diff_artifacts(const Json& before, const Json& after,
                    to_string(classify(after)));
 
   std::vector<std::pair<std::string, double>> a, b;
-  flatten(before, "", a);
-  flatten(after, "", b);
+  leaves(before, a);
+  leaves(after, b);
 
   auto find_in = [](const std::vector<std::pair<std::string, double>>& v,
                     const std::string& key) -> const double* {
@@ -238,7 +274,7 @@ DiffResult diff_artifacts(const Json& before, const Json& after,
   }
   for (const auto& [key, after_v] : b) {
     if (find_in(a, key) == nullptr) {
-      r.changes.push_back({key, 0.0, after_v, 0.0, true});
+      r.changes.push_back({key, 0.0, after_v, 0.0, true, true});
     }
   }
   return r;
@@ -249,7 +285,7 @@ namespace {
 void write_entry_text(const DiffEntry& e, std::ostream& os) {
   os << "  " << e.key << ": ";
   if (e.structural) {
-    if (e.before == 0.0 && e.after != 0.0) {
+    if (e.only_in_b) {
       os << "only in B (" << fmt(e.after) << ")";
     } else {
       os << "only in A (" << fmt(e.before) << ")";
@@ -266,7 +302,10 @@ void write_entry_text(const DiffEntry& e, std::ostream& os) {
 void write_entry_json(const DiffEntry& e, std::ostream& os) {
   os << "    {\"key\": \"";
   escape_into(os, e.key);
-  os << "\", \"before\": " << num(e.before) << ", \"after\": " << num(e.after)
+  // The side a structural key is absent from is null, not 0.
+  const bool only_in_a = e.structural && !e.only_in_b;
+  os << "\", \"before\": " << (e.only_in_b ? "null" : num(e.before))
+     << ", \"after\": " << (only_in_a ? "null" : num(e.after))
      << ", \"rel\": " << num(e.rel)
      << ", \"structural\": " << (e.structural ? "true" : "false") << '}';
 }

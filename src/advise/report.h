@@ -3,8 +3,8 @@
 
 /// \file report.h
 /// Rendering and comparison surfaces of the advisor: the ranked finding
-/// report (text and JSON) and the direction-aware two-artifact diff the
-/// CI perf sentinel runs.
+/// report (text and JSON), the trace summary, and the direction-aware
+/// two-artifact diff the CI perf sentinel runs.
 ///
 /// Both renderers are pure functions of their inputs with deterministic
 /// number formatting, so identical sessions produce byte-identical
@@ -28,6 +28,10 @@ void write_report(const std::vector<Inspection>& findings, std::ostream& os,
 void write_report_json(const std::vector<Inspection>& findings,
                        std::ostream& os, std::size_t top = 0);
 
+/// Print one trace's summary as `key: value` lines, then its instant
+/// timeline.
+void write_summary(const TraceEvidence& tr, std::ostream& os);
+
 /// One scalar that moved between the two compared artifacts.
 struct DiffEntry {
   std::string key;  ///< flattened path, e.g. "scenarios/gpu4-axpy1M/..."
@@ -35,7 +39,8 @@ struct DiffEntry {
   double after = 0.0;
   /// Relative change (after-before)/before; 0 when before == 0.
   double rel = 0.0;
-  bool structural = false;  ///< key exists on one side only
+  bool structural = false;  ///< key exists on one side only...
+  bool only_in_b = false;   ///< ...and that side is `after`
 };
 
 /// Verdict of comparing two artifacts of the same kind.
@@ -48,11 +53,12 @@ struct DiffResult {
 };
 
 /// Compare two parsed artifacts. Numeric leaves are flattened to
-/// path/value pairs; keys with a known good direction (throughput
-/// higher-better, latency/makespan/violations lower-better) become
-/// regressions when they move the wrong way by more than `tolerance`
-/// (relative); every other move past tolerance is reported as a neutral
-/// change. Throws ConfigError when the artifacts are different kinds.
+/// path/value pairs (a trace contributes its summary keys); keys with a
+/// known good direction (throughput and overlap higher-better, latency,
+/// makespan, imbalance and violations lower-better) become regressions
+/// when they move the wrong way by more than `tolerance` (relative);
+/// every other move past tolerance is reported as a neutral change.
+/// Throws ConfigError when the artifacts are different kinds.
 DiffResult diff_artifacts(const Json& before, const Json& after,
                           double tolerance);
 

@@ -59,6 +59,53 @@ inline constexpr char kRegressionsKey[] = "regressions";
 /// Array of non-regression changes in a diff verdict.
 inline constexpr char kChangesKey[] = "changes";
 
+// ---- trace summary keys -------------------------------------------------
+// `homp-advise summary` prints, and `homp-advise diff` compares, one
+// ordered `key: value` list per trace (docs/OBSERVABILITY.md "The trace
+// summary"). Times are microseconds of virtual time.
+
+inline constexpr char kSumEvents[] = "events";
+inline constexpr char kSumDevices[] = "devices";
+inline constexpr char kSumTotalTime[] = "total_time_us";
+/// Text: the participating device that reached the final barrier last.
+inline constexpr char kSumCriticalDevice[] = "critical_device";
+/// Also a per-tenant figure: the tenant's last job-thread finish.
+inline constexpr char kSumCriticalPath[] = "critical_path_us";
+inline constexpr char kSumCriticalBusy[] = "critical_busy_us";
+inline constexpr char kSumBarrierSkew[] = "barrier_skew_us";
+/// Imbalance::percent() over finish times; also a per-tenant figure.
+inline constexpr char kSumImbalance[] = "imbalance_pct";
+inline constexpr char kSumTransfer[] = "transfer_us";
+inline constexpr char kSumTransferHidden[] = "transfer_hidden_us";
+inline constexpr char kSumOverlapRatio[] = "overlap_ratio";
+inline constexpr char kSumFaults[] = "faults";
+inline constexpr char kSumRecoveryActions[] = "recovery_actions";
+inline constexpr char kSumDecisions[] = "decisions";
+/// Families `critical_phase_us[<phase>]` and `phase_us[<phase>]`.
+inline constexpr char kSumCriticalPhase[] = "critical_phase_us";
+inline constexpr char kSumPhase[] = "phase_us";
+/// Serving traces: `tenants`, then `tenant[<name>].<figure>`.
+inline constexpr char kSumTenants[] = "tenants";
+inline constexpr char kSumTenant[] = "tenant";
+inline constexpr char kSumSpans[] = "spans";
+inline constexpr char kSumThreads[] = "threads";
+inline constexpr char kSumBusy[] = "busy_us";
+inline constexpr char kSumMakespan[] = "makespan_us";
+/// Serving traces with terminal jobs: the totals, then the families
+/// `serve.<outcome>[<tenant>/<error class>]` and, as text,
+/// `serve.<outcome>_job[<job id>]`.
+inline constexpr char kSumServeFailedJobs[] = "serve.failed_jobs";
+inline constexpr char kSumServeCancelledJobs[] = "serve.cancelled_jobs";
+inline constexpr char kSumServeBreakerTrips[] = "serve.breaker_trips";
+inline constexpr char kSumServe[] = "serve.";
+inline constexpr char kSumFailed[] = "failed";
+inline constexpr char kSumCancelled[] = "cancelled";
+/// Family `counter[<track>].<samples|last|max>`.
+inline constexpr char kSumCounter[] = "counter";
+inline constexpr char kSumSamples[] = "samples";
+inline constexpr char kSumLast[] = "last";
+inline constexpr char kSumMax[] = "max";
+
 }  // namespace homp::advise
 
 #endif  // HOMP_ADVISE_REPORT_KEYS_H

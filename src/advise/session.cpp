@@ -1,16 +1,23 @@
 #include "advise/session.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cctype>
+#include <cmath>
+#include <map>
+#include <tuple>
 
+#include "advise/report_keys.h"
 #include "common/error.h"
+#include "common/stats.h"
 
 namespace homp::advise {
 
 namespace {
 
-long long ll(const Json& obj, const char* key) {
-  return static_cast<long long>(obj.number_or(key, 0.0));
+long long ll(const Json& obj, const char* key, double fallback = 0.0) {
+  const double v = obj.number_or(key, fallback);
+  // Converting a NaN or out-of-range double to an integer is undefined.
+  return std::fabs(v) < 9e18 ? static_cast<long long>(v) : 0;
 }
 
 AuditPrediction load_prediction(const Json& p) {
@@ -181,6 +188,40 @@ std::string phase_of(const std::string& name) {
   return sp == std::string::npos ? name : name.substr(0, sp);
 }
 
+/// A keyed summary family member: "phase_us" + "compute" ->
+/// "phase_us[compute]".
+std::string family(const std::string& base, const std::string& member) {
+  return base + '[' + member + ']';
+}
+
+bool is_integer(const Json* v) {
+  return v != nullptr && v->is_number() && std::fabs(v->number()) < 9e15 &&
+         v->number() == std::floor(v->number());
+}
+
+/// An event's "args" object, or a null value that answers every lookup
+/// with its fallback.
+const Json& args_of(const Json& ev) {
+  static const Json kNone;
+  const Json* args = ev.find("args");
+  return args != nullptr ? *args : kNone;
+}
+
+/// Runs of whitespace become one space and the ends are trimmed, so an
+/// error detail stays on its `key: value` line.
+std::string collapse_space(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+      out += c;
+    } else if (!out.empty() && out.back() != ' ') {
+      out += ' ';
+    }
+  }
+  if (!out.empty() && out.back() == ' ') out.pop_back();
+  return out;
+}
+
 }  // namespace
 
 const char* to_string(ArtifactKind k) noexcept {
@@ -212,54 +253,287 @@ ArtifactKind classify(const Json& doc) noexcept {
 }
 
 TraceEvidence reduce_trace(const Json& doc) {
-  TraceEvidence out;
-  struct PerSlot {
-    std::string name;
-    Intervals transfer;
-    Intervals compute;
-    double finish = 0.0;
-  };
-  std::vector<std::pair<int, PerSlot>> slots;  // insertion order = trace order
-  auto slot_of = [&slots](int tid) -> PerSlot& {
-    for (auto& [t, s] : slots) {
-      if (t == tid) return s;
-    }
-    slots.emplace_back(tid, PerSlot{});
-    return slots.back().second;
-  };
+  const std::vector<Json>& events = doc.array();
+  HOMP_REQUIRE(!events.empty(), "trace is empty (zero events)");
 
-  for (const Json& ev : doc.array()) {
+  // Pass 1: reject what no figure can be trusted from, and collect the
+  // thread (device) and process (tenant) name metadata.
+  std::map<long long, std::string> thread_names, tenants;
+  std::size_t n_spans = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& ev = events[i];
+    const std::string at = "trace event " + std::to_string(i);
+    HOMP_REQUIRE(ev.is_object(), at + " is not an object");
+    const std::string& ph = ev.string_or_empty("ph");
+    if (ph == "M" && ev.string_or_empty("name") == "thread_name") {
+      thread_names[ll(ev, "tid")] = args_of(ev).string_or_empty("name");
+    } else if (ph == "M" && ev.string_or_empty("name") == "process_name") {
+      tenants[ll(ev, "pid")] = args_of(ev).string_or_empty("name");
+    }
+    if (ph != "X") continue;
+    ++n_spans;
+    HOMP_REQUIRE(is_integer(ev.find("tid")),
+                 at + " is a span without an integer 'tid'");
+    const Json* ts = ev.find("ts");
+    HOMP_REQUIRE(ts != nullptr && ts->is_number(),
+                 at + " is a span without a numeric 'ts'");
+    const Json* pid = ev.find("pid");
+    HOMP_REQUIRE(pid == nullptr || is_integer(pid),
+                 at + " is a span with a non-integer 'pid'");
+  }
+  HOMP_REQUIRE(n_spans > 0, "trace contains no spans");
+
+  // Pass 2: spans, per device slot (tid) and per tenant process (pid).
+  struct Slot {
+    std::string name;
+    Intervals transfer, compute, busy;
+    std::map<std::string, double> busy_phases;
+    long long computes = 0;
+    bool arrived = false;  ///< saw its `barrier final` span
+    double finish = 0.0;
+    double busy_end = 0.0;
+  };
+  struct Tenant {
+    long long spans = 0;
+    double start = 0.0;
+    std::map<long long, Intervals> threads;
+  };
+  std::map<long long, Slot> slots;
+  std::map<long long, Tenant> by_pid;
+  std::map<std::string, double> phase_s;
+  TraceEvidence out;
+  for (const Json& ev : events) {
     if (ev.string_or_empty("ph") != "X") continue;
     const double t0 = ev.number_or("ts", 0.0) / 1e6;
     const double t1 = t0 + ev.number_or("dur", 0.0) / 1e6;
-    const int tid = static_cast<int>(ev.number_or("tid", -1.0));
-    const std::string phase = phase_of(ev.string_or_empty("name"));
-    PerSlot& s = slot_of(tid);
-    if (s.name.empty()) {
-      if (const Json* args = ev.find("args"); args != nullptr) {
-        s.name = args->string_or_empty("device");
-      }
-    }
-    if (phase == "copy-in" || phase == "copy-out") {
-      s.transfer.emplace_back(t0, t1);
-    } else if (phase == "compute") {
-      s.compute.emplace_back(t0, t1);
-    }
-    s.finish = std::max(s.finish, t1);
+    const long long tid = ll(ev, "tid");
+    const std::string& name = ev.string_or_empty("name");
+    const std::string phase = phase_of(name);
+    Slot& s = slots[tid];
+    if (s.name.empty()) s.name = args_of(ev).string_or_empty("device");
+    phase_s[phase] += t1 - t0;
+    Tenant& tn = by_pid[ll(ev, "pid")];
+    tn.start = tn.spans++ == 0 ? t0 : std::min(tn.start, t0);
+    tn.threads[tid].emplace_back(t0, t1);
     out.makespan_s = std::max(out.makespan_s, t1);
+    if (phase == "barrier") {
+      // The final-barrier span starts when the device arrived at the
+      // barrier: its start is the device's finish time.
+      if (name.size() >= 5 && name.compare(name.size() - 5, 5, "final") == 0) {
+        s.arrived = true;
+        s.finish = t0;
+      }
+      continue;
+    }
+    s.busy.emplace_back(t0, t1);
+    s.busy_end = std::max(s.busy_end, t1);
+    s.busy_phases[phase] += t1 - t0;
+    if (phase == "compute") {
+      s.compute.emplace_back(t0, t1);
+      ++s.computes;
+    } else if (phase == "copy-in" || phase == "copy-out") {
+      s.transfer.emplace_back(t0, t1);
+    }
   }
 
+  // Per-device evidence. The critical device is the participating one
+  // (>= 1 compute span) that finished last; everything else waits for
+  // it at the final barrier.
+  std::map<long long, std::string> device_names;
+  std::vector<double> fins;
+  std::size_t crit = 0;  // the first device when none participates
+  double transfer_s = 0.0, hidden_s = 0.0;
   for (auto& [tid, s] : slots) {
     normalize(s.transfer);
     normalize(s.compute);
+    normalize(s.busy);
     TraceDevice dev;
-    dev.name = s.name.empty() ? "slot " + std::to_string(tid) : s.name;
-    dev.slot = tid;
+    const auto meta = thread_names.find(tid);
+    dev.name = meta != thread_names.end() && !meta->second.empty()
+                   ? meta->second
+                   : s.name.empty() ? "slot " + std::to_string(tid) : s.name;
+    dev.slot = static_cast<int>(tid);
     dev.transfer_s = measure(s.transfer);
     dev.compute_s = measure(s.compute);
     dev.hidden_s = intersection_measure(s.transfer, s.compute);
-    dev.finish_s = s.finish;
+    dev.finish_s = s.arrived ? s.finish : s.busy_end;
+    transfer_s += dev.transfer_s;
+    hidden_s += dev.hidden_s;
+    if (s.computes > 0) {
+      fins.push_back(dev.finish_s);
+      if (fins.size() == 1 || dev.finish_s > out.devices[crit].finish_s) {
+        crit = out.devices.size();
+      }
+    }
+    AuditDevice row;
+    row.name = dev.name;
+    row.slot = dev.slot;
+    row.finish_time_s = dev.finish_s;
+    row.chunks = s.computes;
+    out.audit.devices.push_back(std::move(row));
+    device_names[tid] = dev.name;
     out.devices.push_back(std::move(dev));
+  }
+  out.audit.total_time_s = out.makespan_s;
+
+  // Pass 3: counter tracks and instants — the timeline, the decision
+  // stream in audit form, and the serve layer's terminal job outcomes.
+  struct Counter {
+    long long samples = 0;
+    double last = 0.0, max = 0.0;
+  };
+  struct JobLine {
+    std::string kind, job, tenant, detail;
+  };
+  std::map<std::string, Counter> counters;
+  std::map<std::string, long long> per_cat;
+  std::map<std::tuple<std::string, std::string, std::string>, long long>
+      classes;  // (kind, tenant, error class) -> jobs
+  std::vector<JobLine> jobs;
+  long long failed = 0, cancelled = 0, breaker_trips = 0;
+  for (const Json& ev : events) {
+    const std::string& ph = ev.string_or_empty("ph");
+    const Json& args = args_of(ev);
+    if (ph == "C") {
+      Counter& c = counters[ev.string_or_empty("name")];
+      const double v = args.number_or("value", 0.0);
+      c.max = c.samples++ == 0 ? v : std::max(c.max, v);
+      c.last = v;
+      continue;
+    }
+    if (ph != "i") continue;
+    TraceInstant in;
+    in.ts_us = ev.number_or("ts", 0.0);
+    in.tid = ll(ev, "tid", -1.0);
+    const auto dev = device_names.find(in.tid);
+    in.device = dev != device_names.end() ? dev->second
+                                          : std::to_string(in.tid);
+    const Json* cat = ev.find("cat");
+    in.cat = cat != nullptr ? cat->string() : "?";
+    in.name = ev.string_or_empty("name");
+    ++per_cat[in.cat];
+    if (in.cat == "decision" && in.name.rfind("decision: ", 0) == 0) {
+      AuditDecision d;
+      d.time_s = in.ts_us / 1e6;
+      d.slot = static_cast<int>(in.tid);
+      d.device = in.device;
+      d.kind = phase_of(in.name.substr(10));
+      d.model1_s = args.number_or("model1_s", -1.0);
+      d.model2_s = args.number_or("model2_s", -1.0);
+      d.profile_s = args.number_or("profile_s", -1.0);
+      d.ewma_iter_s = args.number_or("ewma_iter_s", -1.0);
+      d.actual_s = args.number_or("actual_s", -1.0);
+      d.detail = args.string_or_empty("detail");
+      out.audit.decisions.push_back(std::move(d));
+    } else if (in.cat == "serve" && in.name == "breaker-open") {
+      ++breaker_trips;
+    } else if (in.cat == "serve" &&
+               (in.name == "fail" || in.name == "cancel")) {
+      // The detail leads with the error class ("all_devices_lost: ...",
+      // docs/SERVING.md "Job failure domains").
+      JobLine j;
+      j.kind = in.name == "fail" ? kSumFailed : kSumCancelled;
+      ++(in.name == "fail" ? failed : cancelled);
+      j.job = std::to_string(ll(args, "job", -1.0));
+      const auto tn = tenants.find(ll(ev, "pid"));
+      j.tenant = tn != tenants.end() ? tn->second : "?";
+      j.detail = collapse_space(args.string_or_empty("detail"));
+      std::string cls = j.detail.substr(0, j.detail.find(':'));
+      while (!cls.empty() && cls.back() == ' ') cls.pop_back();
+      ++classes[{j.kind, j.tenant, cls.empty() ? "unspecified" : cls}];
+      jobs.push_back(std::move(j));
+    }
+    out.timeline.push_back(std::move(in));
+  }
+  std::sort(out.timeline.begin(), out.timeline.end(),
+            [](const TraceInstant& a, const TraceInstant& b) {
+              return std::tie(a.ts_us, a.tid, a.cat, a.name) <
+                     std::tie(b.ts_us, b.tid, b.cat, b.name);
+            });
+
+  // The summary, in microseconds of virtual time like the trace itself.
+  constexpr double kUs = 1e6;
+  auto& sum = out.summary;
+  auto num = [&sum](std::string key, double v) {
+    sum.emplace_back(std::move(key), Json::make_number(v));
+  };
+  const TraceDevice& cd = out.devices[crit];
+  const Slot& cs = slots.at(cd.slot);
+  num(kSumEvents, static_cast<double>(events.size()));
+  num(kSumDevices, static_cast<double>(slots.size()));
+  num(kSumTotalTime, out.makespan_s * kUs);
+  sum.emplace_back(kSumCriticalDevice, Json::make_string(cd.name));
+  num(kSumCriticalPath, cd.finish_s * kUs);
+  num(kSumCriticalBusy, measure(cs.busy) * kUs);
+  const auto [lo, hi] = std::minmax_element(fins.begin(), fins.end());
+  num(kSumBarrierSkew, fins.empty() ? 0.0 : (*hi - *lo) * kUs);
+  num(kSumImbalance, imbalance_of(fins).percent());
+  num(kSumTransfer, transfer_s * kUs);
+  num(kSumTransferHidden, hidden_s * kUs);
+  num(kSumOverlapRatio, transfer_s > 0.0 ? hidden_s / transfer_s : 0.0);
+  num(kSumFaults, static_cast<double>(per_cat["fault"]));
+  num(kSumRecoveryActions, static_cast<double>(per_cat["recovery"]));
+  num(kSumDecisions, static_cast<double>(per_cat["decision"]));
+  for (const auto& [ph, t] : cs.busy_phases) {
+    num(family(kSumCriticalPhase, ph), t * kUs);
+  }
+  for (const auto& [ph, t] : phase_s) num(family(kSumPhase, ph), t * kUs);
+
+  // Multi-tenant serving traces lay tenants out as processes (pids);
+  // single-offload traces (pid 0, no process metadata) skip this.
+  if (!tenants.empty() || by_pid.size() > 1) {
+    num(kSumTenants, static_cast<double>(by_pid.size()));
+    for (auto& [pid, tn] : by_pid) {
+      const auto meta = tenants.find(pid);
+      const std::string pre =
+          family(kSumTenant, meta != tenants.end() && !meta->second.empty()
+                                 ? meta->second
+                                 : "pid " + std::to_string(pid)) +
+          '.';
+      std::vector<double> ends;
+      double busy = 0.0;
+      for (auto& [tid, iv] : tn.threads) {
+        double end = iv.front().second;
+        for (const auto& span : iv) end = std::max(end, span.second);
+        ends.push_back(end);
+        normalize(iv);
+        busy += measure(iv);
+      }
+      const double last = *std::max_element(ends.begin(), ends.end());
+      num(pre + kSumSpans, static_cast<double>(tn.spans));
+      num(pre + kSumThreads, static_cast<double>(tn.threads.size()));
+      num(pre + kSumBusy, busy * kUs);
+      num(pre + kSumCriticalPath, last * kUs);
+      num(pre + kSumMakespan, (last - tn.start) * kUs);
+      num(pre + kSumImbalance, imbalance_of(ends).percent());
+    }
+  }
+
+  if (!jobs.empty() || breaker_trips > 0) {
+    num(kSumServeFailedJobs, static_cast<double>(failed));
+    num(kSumServeCancelledJobs, static_cast<double>(cancelled));
+    num(kSumServeBreakerTrips, static_cast<double>(breaker_trips));
+    for (const auto& [key, n] : classes) {
+      const auto& [kind, tenant, cls] = key;
+      num(family(kSumServe + kind, tenant + '/' + cls),
+          static_cast<double>(n));
+    }
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [](const JobLine& a, const JobLine& b) {
+                       return std::tie(a.kind, a.job) < std::tie(b.kind, b.job);
+                     });
+    for (const JobLine& j : jobs) {
+      sum.emplace_back(
+          family(kSumServe + j.kind + "_job", j.job),
+          Json::make_string("tenant=" + j.tenant + " " + j.detail));
+    }
+  }
+
+  for (const auto& [name, c] : counters) {
+    const std::string pre = family(kSumCounter, name) + '.';
+    num(pre + kSumSamples, static_cast<double>(c.samples));
+    num(pre + kSumLast, c.last);
+    num(pre + kSumMax, c.max);
   }
   return out;
 }
@@ -270,6 +544,9 @@ void load_metrics(const Json& doc, obs::MetricsRegistry& reg) {
   const Json* metrics = doc.find("metrics");
   if (metrics == nullptr) return;
   for (const Json& m : metrics->array()) {
+    const Json* has_name = m.find("name");
+    HOMP_REQUIRE(has_name != nullptr && has_name->is_string(),
+                 "malformed metrics entry (missing 'name')");
     const std::string& name = m.string_or_empty("name");
     const std::string& labels = m.string_or_empty("labels");
     const std::string& type = m.string_or_empty("type");
@@ -322,6 +599,7 @@ ArtifactKind Session::add(const Json& doc, const std::string& origin) {
       break;
     case ArtifactKind::kTrace:
       traces.push_back(reduce_trace(doc));
+      traces.back().origin = origin;
       break;
     case ArtifactKind::kBench:
       ++bench_files;

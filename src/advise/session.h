@@ -19,8 +19,8 @@
 /// registry's own merge semantics (counters add, gauges last-wins,
 /// histograms bucket-merge); reconstruction from exported JSON is exact,
 /// so a reloaded registry re-exports byte-identically. Audits and traces
-/// are kept per-run so attribution can distinguish findings persistent
-/// across N runs from one-offs.
+/// are each kept as their own runs, so attribution can distinguish
+/// findings persistent across N runs from one-offs.
 
 #include <cstdint>
 #include <string>
@@ -141,24 +141,48 @@ struct ServeAudit {
   std::vector<ServeAuditEvent> events;
 };
 
-/// Per-device overlap evidence distilled from one chrome trace: how much
-/// transfer time the pipeline hid behind that device's own compute.
+/// Per-device evidence distilled from one chrome trace: how much
+/// transfer time the pipeline hid behind that device's own compute, and
+/// when the device finished.
 struct TraceDevice {
   std::string name;
   int slot = -1;
   double transfer_s = 0.0;  ///< total copy-in + copy-out span time
   double hidden_s = 0.0;    ///< transfer time overlapped with own compute
   double compute_s = 0.0;
-  double finish_s = 0.0;  ///< last span end on this device
+  /// Start of the device's `barrier final` span (its arrival), or the
+  /// end of its last busy span when it has none (lost before the end).
+  double finish_s = 0.0;
 };
 
-/// One reloaded chrome trace, reduced to attribution evidence.
+/// One instant event of a trace (fault, recovery, decision, serve).
+struct TraceInstant {
+  double ts_us = 0.0;
+  long long tid = -1;
+  std::string device;  ///< device name of the tid, or the bare tid
+  std::string cat;
+  std::string name;
+};
+
+/// One reloaded chrome trace: attribution evidence plus the summary
+/// `homp-advise summary` prints and `homp-advise diff` compares.
 struct TraceEvidence {
+  std::string origin;  ///< the file it was loaded from
   double makespan_s = 0.0;
   std::vector<TraceDevice> devices;
+  /// The trace's decision instants and device finishes in audit form,
+  /// so the audit formulas of attribution.h apply to it unchanged.
+  RunAudit audit;
+  /// Ordered key -> number-or-text summary (docs/OBSERVABILITY.md
+  /// "The trace summary"); figures in microseconds of virtual time.
+  std::vector<std::pair<std::string, Json>> summary;
+  std::vector<TraceInstant> timeline;  ///< sorted by (ts, tid, cat, name)
 };
 
-/// Reduce a parsed chrome trace array to per-device overlap evidence.
+/// Reduce a parsed chrome trace array to its evidence and summary.
+/// Throws ConfigError on a trace no analysis can trust: no events, no
+/// spans, a non-object event, a span without an integer tid or a
+/// numeric ts, or a non-integer pid.
 TraceEvidence reduce_trace(const Json& doc);
 
 /// Fold one exported metrics document into `reg` — exact reconstruction

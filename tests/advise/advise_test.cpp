@@ -1,5 +1,6 @@
 // Unit tests for the offline advisor (src/advise): the JSON reader, the
-// artifact sniffer, the metrics reload path, trace reduction, and the
+// artifact sniffer, the metrics reload path, trace reduction and its
+// summary, the summary-based trace diff, and the
 // attribution engine's arithmetic on hand-built sessions with exact
 // expected Inspection values (docs/OBSERVABILITY.md "The offline
 // advisor").
@@ -203,6 +204,63 @@ TEST(AdviseTrace, ReducesOverlapPerDevice) {
   EXPECT_DOUBLE_EQ(d.finish_s, 8e-6);
 }
 
+/// Two devices: "a" computes [0, 4)us and arrives at the final barrier
+/// at 4us; "b" computes [0, 8)us. Both barrier spans end at 8us, the
+/// release, so only their starts tell the devices' finishes apart. "b"
+/// carries a chunk decision that ran 4x its MODEL_2 prediction.
+const char* const kBarrierTrace = R"trace([
+  {"ph": "X", "tid": 0, "name": "compute [0, 50)", "ts": 0, "dur": 4},
+  {"ph": "X", "tid": 0, "name": "barrier final", "ts": 4, "dur": 4},
+  {"ph": "X", "tid": 1, "name": "compute [50, 100)", "ts": 0, "dur": 8},
+  {"ph": "X", "tid": 1, "name": "barrier final", "ts": 8, "dur": 0},
+  {"ph": "i", "tid": 1, "cat": "decision", "ts": 0,
+   "name": "decision: chunk-assigned [50, 100)",
+   "args": {"model2_s": 2e-6, "actual_s": 8e-6}},
+  {"ph": "M", "tid": 0, "name": "thread_name", "args": {"name": "a"}},
+  {"ph": "M", "tid": 1, "name": "thread_name", "args": {"name": "b"}}
+])trace";
+
+const Json* summary_value(const advise::TraceEvidence& ev,
+                          const std::string& key) {
+  for (const auto& [k, v] : ev.summary) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+TEST(AdviseTrace, DeviceFinishesAtItsFinalBarrierArrival) {
+  const advise::TraceEvidence ev =
+      advise::reduce_trace(Json::parse(kBarrierTrace));
+  ASSERT_EQ(ev.devices.size(), 2u);
+  EXPECT_DOUBLE_EQ(ev.devices[0].finish_s, 4e-6);
+  EXPECT_DOUBLE_EQ(ev.devices[1].finish_s, 8e-6);
+  EXPECT_EQ(summary_value(ev, "critical_device")->string(), "b");
+  EXPECT_NEAR(summary_value(ev, "barrier_skew_us")->number(), 4.0, 1e-9);
+  // Imbalance::percent() over finishes 4 and 8: (8 - 6) / 8.
+  EXPECT_NEAR(summary_value(ev, "imbalance_pct")->number(), 25.0, 1e-9);
+  ASSERT_EQ(ev.audit.decisions.size(), 1u);
+  EXPECT_EQ(ev.audit.decisions[0].kind, "chunk-assigned");
+  EXPECT_EQ(ev.audit.decisions[0].device, "b");
+}
+
+TEST(AdviseTrace, MalformedTracesThrow) {
+  for (const char* doc :
+       {"[]", R"(["zap"])", R"([{"ph": "M", "name": "thread_name"}])",
+        R"([{"ph": "X", "ts": 0}])", R"([{"ph": "X", "tid": 1.5, "ts": 0}])",
+        R"([{"ph": "X", "tid": 1e300, "ts": 0}])",
+        R"([{"ph": "X", "tid": 0, "ts": "0"}])",
+        R"([{"ph": "X", "tid": 0, "ts": 0, "pid": "gold"}])"}) {
+    EXPECT_THROW(advise::reduce_trace(Json::parse(doc)), ConfigError) << doc;
+  }
+  // Out-of-range numbers where the trace only reads, not trusts, them.
+  const advise::TraceEvidence ev = advise::reduce_trace(Json::parse(
+      R"([{"ph": "X", "tid": 0, "ts": 0, "pid": 1},
+          {"ph": "i", "cat": "serve", "name": "fail", "tid": 1e300,
+           "ts": 1, "pid": 1e300, "args": {"job": -1e300}}])"));
+  ASSERT_EQ(ev.timeline.size(), 1u);
+  EXPECT_EQ(ev.timeline[0].tid, 0);
+}
+
 // ---- attribution arithmetic ----------------------------------------------
 
 advise::AuditDecision assigned(const std::string& device, double model2_s,
@@ -385,6 +443,27 @@ TEST(AdviseAttribution, OverlapDeficitFromTraceEvidence) {
   EXPECT_EQ(out[0].severity, advise::kSeverityWarning);
 }
 
+TEST(AdviseAttribution, TraceDecisionsCountOnlyWithoutAnAudit) {
+  advise::Session s;
+  s.add(Json::parse(kBarrierTrace), "barrier.json");
+  auto out = advise::attribute(s, {});
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].kind, advise::kKindUnderPrediction);
+  EXPECT_EQ(out[0].device, "b");
+  EXPECT_DOUBLE_EQ(out[0].saving_s, 4e-6);  // finish 8us vs 4us
+  EXPECT_EQ(out[0].runs_total, 1u);
+
+  // With an audit in the session, the audit alone is decision evidence.
+  s.runs.push_back(biased_run());
+  out = advise::attribute(s, {});
+  for (const advise::Inspection& f : out) {
+    EXPECT_NE(f.device, "b") << f.kind;
+    if (f.kind == advise::kKindUnderPrediction) {
+      EXPECT_EQ(f.runs_total, 1u);
+    }
+  }
+}
+
 TEST(AdviseAttribution, ServeShedPressureAndBreakerFlap) {
   advise::ServeAudit run;
   run.makespan_s = 10.0;
@@ -529,6 +608,24 @@ TEST(AdviseDiff, LabelSetsDisambiguateSharedMetricNames) {
             "metrics/homp_device_finish_seconds{device=\"d1\"}/value");
   EXPECT_DOUBLE_EQ(r.regressions[0].before, 8.0);
   EXPECT_DOUBLE_EQ(r.regressions[0].after, 16.0);
+}
+
+TEST(AdviseDiff, TracesDiffBySummaryNotRawEvents) {
+  const Json a = Json::parse(kBarrierTrace);
+  EXPECT_TRUE(advise::diff_artifacts(a, a, 0.0).identical());
+  // Same span names, a later finish on "a": "b" still gates, so the
+  // summary moves only where the finishes moved.
+  std::string later = kBarrierTrace;
+  const std::string arrival = R"("ts": 4, "dur": 4)";
+  later.replace(later.find(arrival), arrival.size(), R"("ts": 6, "dur": 2)");
+  const advise::DiffResult r =
+      advise::diff_artifacts(a, Json::parse(later), 0.0);
+  for (const advise::DiffEntry& e : r.changes) {
+    EXPECT_FALSE(e.structural) << e.key;
+  }
+  ASSERT_EQ(r.regressions.size(), 0u);
+  ASSERT_FALSE(r.changes.empty());
+  EXPECT_EQ(r.changes[0].key, "barrier_skew_us");
 }
 
 TEST(AdviseDiff, MixedKindsThrow) {

@@ -206,16 +206,16 @@ TEST(Trace, AdversarialLabelsAreFullyEscaped) {
     if (json[i] == '"' && (i == 0 || json[i - 1] != '\\')) ++quotes;
   }
   EXPECT_EQ(quotes % 2, 0);
-  // (tests/trace/run_trace_tests.py json.loads-round-trips the same
+  // (tests/advise/run_advise_tests.py json.loads-round-trips the same
   // label set through the file writer.)
 }
 
 TEST(Trace, FileWriterValidates) {
   auto res = traced_run(false);
-  EXPECT_THROW(write_chrome_trace_file(res, "/tmp/homp_trace.json"),
+  EXPECT_THROW(write_chrome_trace_file(res, "/tmp/homp_chrome_trace.json"),
                ConfigError);
   res = traced_run(true);
-  EXPECT_NO_THROW(write_chrome_trace_file(res, "/tmp/homp_trace.json"));
+  EXPECT_NO_THROW(write_chrome_trace_file(res, "/tmp/homp_chrome_trace.json"));
   EXPECT_THROW(write_chrome_trace_file(res, "/nonexistent/dir/x.json"),
                ConfigError);
 }

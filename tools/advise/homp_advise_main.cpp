@@ -4,13 +4,16 @@
 ///
 ///   homp-advise report FILE... [--json] [--top N] [--bias-threshold X]
 ///   homp-advise diff A B [--tolerance R] [--json]
+///   homp-advise summary FILE...
 ///
 /// `report` ingests any mix of HOMP observability artifacts — decision
 /// audits, serve audits, metrics registries, chrome traces — as one
 /// session, runs the attribution engine, and prints the ranked findings.
 /// `diff` compares two artifacts of the same kind (bench records,
-/// metrics, audits) with direction-aware tolerance; the CI perf sentinel
-/// runs it against the committed BENCH_engine.json.
+/// metrics, audits, traces by their summaries) with direction-aware
+/// tolerance; the CI perf sentinel runs it against the committed
+/// BENCH_engine.json. `summary` prints each trace's summary and timeline,
+/// then the merged metrics of any metrics files among the arguments.
 ///
 /// Exit codes, report mode:  0 = no findings,
 ///                           1 = findings printed,
@@ -19,7 +22,9 @@
 /// Exit codes, diff mode:    0 = identical within tolerance,
 ///                           1 = regressions found,
 ///                           2 = unusable input.
+/// Exit codes, summary mode: 0 = printed, 2 = unusable input.
 
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -36,6 +41,7 @@ namespace {
 void usage(std::ostream& os) {
   os << "usage: homp-advise report FILE... [options]\n"
         "       homp-advise diff A B [options]\n"
+        "       homp-advise summary FILE...\n"
         "\n"
         "report: attribute performance loss across one or more runs'\n"
         "observability artifacts (decision audits, serve audits, metrics,\n"
@@ -46,10 +52,14 @@ void usage(std::ostream& os) {
         "                      actual/predicted >= X (default 1.5)\n"
         "\n"
         "diff: compare two artifacts of the same kind (bench record,\n"
-        "metrics, audit); direction-aware, throughput down or latency up\n"
-        "past tolerance is a regression.\n"
+        "metrics, audit, trace summary); direction-aware, throughput down\n"
+        "or latency up past tolerance is a regression.\n"
         "  --tolerance R       relative tolerance (default 0.15)\n"
-        "  --json              machine-readable verdict\n";
+        "  --json              machine-readable verdict\n"
+        "\n"
+        "summary: print each trace's critical path, overlap, imbalance,\n"
+        "phase, tenant and failure figures and its timeline, then the\n"
+        "merged metrics of any metrics files given.\n";
 }
 
 double parse_double(const std::string& flag, const char* value) {
@@ -102,6 +112,24 @@ int run_report(const std::vector<std::string>& files, bool json,
   return findings.empty() ? 0 : 1;
 }
 
+int run_summary(const std::vector<std::string>& files) {
+  using namespace homp::advise;
+  Session session;
+  for (const std::string& f : files) {
+    const ArtifactKind kind = session.load(f);
+    HOMP_REQUIRE(kind == ArtifactKind::kTrace || kind == ArtifactKind::kMetrics,
+                 "summary takes traces and metrics files; " + f + " is a " +
+                     to_string(kind));
+  }
+  HOMP_REQUIRE(!session.traces.empty(), "summary needs at least one trace");
+  for (const TraceEvidence& tr : session.traces) write_summary(tr, std::cout);
+  if (session.metrics_files > 0) {
+    std::cout << "metrics:\n";
+    session.metrics.write_prometheus(std::cout);
+  }
+  return 0;
+}
+
 int run_diff(const std::string& a, const std::string& b, double tolerance,
              bool json) {
   using namespace homp::advise;
@@ -147,7 +175,10 @@ int main(int argc, char** argv) {
       if (arg == "--json") {
         json = true;
       } else if (arg == "--top") {
-        top = static_cast<std::size_t>(parse_double(arg, value()));
+        const double n = parse_double(arg, value());
+        HOMP_REQUIRE(n >= 0.0 && n <= 1e9 && n == std::floor(n),
+                     "--top must be a whole number >= 0");
+        top = static_cast<std::size_t>(n);
       } else if (arg == "--bias-threshold") {
         opt.bias_threshold = parse_double(arg, value());
         HOMP_REQUIRE(opt.bias_threshold > 1.0,
@@ -174,8 +205,11 @@ int main(int argc, char** argv) {
       }
       return run_diff(files[0], files[1], tolerance, json);
     }
+    if (mode == "summary") {
+      return run_summary(files);
+    }
     throw homp::ConfigError("unknown mode '" + mode +
-                            "' (report or diff)");
+                            "' (report, diff or summary)");
   } catch (const std::exception& e) {
     std::cerr << "homp-advise: " << e.what() << "\n";
     return 2;
