@@ -39,62 +39,73 @@ bool exactly_covers(const Range& domain, const std::vector<Range>& parts) {
   return cursor == domain.hi || (domain.empty() && sorted.empty());
 }
 
+void Region::set_rank(std::size_t n) {
+  HOMP_REQUIRE(n <= kMaxRank, "region rank " + std::to_string(n) +
+                                  " exceeds the supported maximum of " +
+                                  std::to_string(kMaxRank));
+  rank_ = n;
+}
+
+Region::Region(const std::vector<Range>& dims) {
+  set_rank(dims.size());
+  std::copy(dims.begin(), dims.end(), dims_.begin());
+}
+
+Region::Region(std::initializer_list<Range> dims) {
+  set_rank(dims.size());
+  std::copy(dims.begin(), dims.end(), dims_.begin());
+}
+
 Region Region::of_shape(const std::vector<long long>& extents) {
-  std::vector<Range> dims;
-  dims.reserve(extents.size());
-  for (long long e : extents) {
-    HOMP_REQUIRE(e >= 0, "negative region extent");
-    dims.push_back(Range::of_size(e));
+  Region out;
+  out.set_rank(extents.size());
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    HOMP_REQUIRE(extents[i] >= 0, "negative region extent");
+    out.dims_[i] = Range::of_size(extents[i]);
   }
-  return Region(std::move(dims));
-}
-
-const Range& Region::dim(std::size_t i) const {
-  HOMP_ASSERT(i < dims_.size());
-  return dims_[i];
-}
-
-Range& Region::dim(std::size_t i) {
-  HOMP_ASSERT(i < dims_.size());
-  return dims_[i];
+  return out;
 }
 
 long long Region::volume() const noexcept {
-  if (dims_.empty()) return 0;
+  if (rank_ == 0) return 0;
   long long v = 1;
-  for (const Range& r : dims_) v *= r.size();
+  for (std::size_t i = 0; i < rank_; ++i) v *= dims_[i].size();
   return v;
 }
 
 Region Region::intersect(const Region& o) const {
   HOMP_REQUIRE(rank() == o.rank(), "region rank mismatch in intersect");
-  std::vector<Range> dims;
-  dims.reserve(rank());
-  for (std::size_t i = 0; i < rank(); ++i) {
-    dims.push_back(dims_[i].intersect(o.dims_[i]));
+  Region out = *this;
+  for (std::size_t i = 0; i < rank_; ++i) {
+    out.dims_[i] = dims_[i].intersect(o.dims_[i]);
   }
-  return Region(std::move(dims));
+  return out;
 }
 
 bool Region::contains(const Region& o) const {
   HOMP_REQUIRE(rank() == o.rank(), "region rank mismatch in contains");
   if (o.empty()) return true;
-  for (std::size_t i = 0; i < rank(); ++i) {
+  for (std::size_t i = 0; i < rank_; ++i) {
     if (!dims_[i].contains(o.dims_[i])) return false;
   }
   return true;
 }
 
 Region Region::with_dim(std::size_t i, const Range& r) const {
-  HOMP_ASSERT(i < dims_.size());
+  HOMP_ASSERT(i < rank_);
   Region out = *this;
   out.dims_[i] = r;
   return out;
 }
 
+bool Region::operator==(const Region& o) const noexcept {
+  return rank_ == o.rank_ &&
+         std::equal(dims_.begin(), dims_.begin() + rank_, o.dims_.begin());
+}
+
 std::string Region::to_string() const {
   std::string s;
-  for (const Range& r : dims_) s += r.to_string();
+  for (std::size_t i = 0; i < rank_; ++i) s += dims_[i].to_string();
   return s;
 }
 

@@ -83,5 +83,28 @@ TEST(Region, RankMismatchThrows) {
   EXPECT_THROW(a.contains(b), homp::ConfigError);
 }
 
+TEST(Region, RankAboveThreeThrows) {
+  const Range r(0, 2);
+  EXPECT_THROW(Region({r, r, r, r}), homp::ConfigError);
+  EXPECT_THROW(Region(std::vector<Range>(4, r)), homp::ConfigError);
+  EXPECT_THROW(Region::of_shape({2, 2, 2, 2}), homp::ConfigError);
+  EXPECT_EQ(Region({r, r, r}).rank(), 3u);
+  EXPECT_EQ(Region::of_shape({}).rank(), 0u);
+}
+
+TEST(Region, EqualityComparesRankAndDims) {
+  const Region one({Range(0, 4)});
+  const Region two({Range(0, 4), Range()});
+  const Region three({Range(0, 4), Range(), Range()});
+  EXPECT_NE(one, two);
+  EXPECT_NE(two, three);
+  EXPECT_NE(one, three);
+  EXPECT_EQ(Region(), Region(std::vector<Range>{}));
+  EXPECT_NE(Region(), Region({Range()}));
+  EXPECT_EQ(two, Region::of_shape({4, 0}));
+  EXPECT_EQ(two.with_dim(1, Range(1, 2)), Region({Range(0, 4), Range(1, 2)}));
+  EXPECT_NE(two.with_dim(1, Range(1, 2)), two);
+}
+
 }  // namespace
 }  // namespace homp::dist

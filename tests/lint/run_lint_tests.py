@@ -46,6 +46,8 @@ BAD_FIXTURES = {
     fx("advise", "bad_hl005_keys.h"): ("HL005", 2),
     fx("serve", "src", "serve", "bad_hl006.cpp"): ("HL006", 4),
     fx("bad_hl007_report.cpp"): ("HL007", 2),
+    fx("kernels", "src", "kernels", "bad_hl009.cpp"): ("HL009", 2),
+    fx("kernels", "src", "lang", "bad_hl009_lang.cpp"): ("HL009", 1),
 }
 
 CLEAN_FIXTURES = [
@@ -67,6 +69,9 @@ CLEAN_FIXTURES = [
     fx("serve", "src", "serve", "suppressed_hl006.cpp"),
     fx("good_hl007_report.cpp"),
     fx("suppressed_hl007_report.cpp"),
+    fx("kernels", "src", "kernels", "good_hl009.cpp"),
+    fx("kernels", "src", "kernels", "suppressed_hl009.cpp"),
+    fx("kernels", "src", "capi", "good_hl009_capi.cpp"),
 ]
 
 

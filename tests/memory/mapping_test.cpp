@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "memory/data_env.h"
 #include "memory/device_mapping.h"
 #include "memory/host_array.h"
+#include "memory/view.h"
 
 namespace homp::mem {
 namespace {
@@ -132,6 +137,84 @@ TEST(DeviceMapping, ViewOutsideFootprintThrows) {
   EXPECT_THROW(v(1), ExecutionError);
   EXPECT_THROW(v(5), ExecutionError);
   EXPECT_NO_THROW(v(4));
+}
+
+using dist::Range;
+using dist::Region;
+
+TEST(ArrayViewBounds, TwoDimEscapeOnEachSideOfEachDim) {
+  std::vector<double> store(3 * 4);
+  ArrayView<double> v(store.data(), Region({Range(2, 5), Range(3, 7)}));
+  EXPECT_EQ(&v(2, 3), &store[0]);
+  EXPECT_EQ(&v(4, 6), &store[11]);
+  EXPECT_EQ(&v(3, 4), &store[5]);
+  EXPECT_THROW(v(1, 4), ExecutionError);  // dim 0 low
+  EXPECT_THROW(v(5, 4), ExecutionError);  // dim 0 high
+  EXPECT_THROW(v(3, 2), ExecutionError);  // dim 1 low
+  EXPECT_THROW(v(3, 7), ExecutionError);  // dim 1 high
+}
+
+TEST(ArrayViewBounds, ThreeDimEscapeOnEachSideOfEachDim) {
+  std::vector<double> store(2 * 2 * 3);
+  ArrayView<double> v(store.data(),
+                      Region({Range(1, 3), Range(2, 4), Range(5, 8)}));
+  EXPECT_EQ(&v(1, 2, 5), &store[0]);
+  EXPECT_EQ(&v(2, 3, 7), &store[11]);
+  EXPECT_EQ(&v(2, 2, 6), &store[7]);
+  EXPECT_THROW(v(0, 2, 5), ExecutionError);  // dim 0 low
+  EXPECT_THROW(v(3, 2, 5), ExecutionError);  // dim 0 high
+  EXPECT_THROW(v(1, 1, 5), ExecutionError);  // dim 1 low
+  EXPECT_THROW(v(1, 4, 5), ExecutionError);  // dim 1 high
+  EXPECT_THROW(v(1, 2, 4), ExecutionError);  // dim 2 low
+  EXPECT_THROW(v(1, 2, 8), ExecutionError);  // dim 2 high
+}
+
+TEST(ArrayViewBounds, ExtremeIndicesNeverWrapIntoFootprint) {
+  std::vector<double> store(10 * 10 * 10);
+  const Range r(10, 20);  // lo > 0
+  ArrayView<double> v1(store.data(), Region({r}));
+  ArrayView<double> v3(store.data(), Region({r, r, r}));
+  for (long long bad : {LLONG_MIN, LLONG_MAX, r.lo - 1, r.hi}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(v1(bad), ExecutionError);
+    EXPECT_FALSE(v1.covers(bad));
+    EXPECT_THROW(v3(bad, 10, 10), ExecutionError);
+    EXPECT_THROW(v3(10, bad, 10), ExecutionError);
+    EXPECT_THROW(v3(10, 10, bad), ExecutionError);
+  }
+  EXPECT_EQ(&v1(10), &store[0]);
+  EXPECT_EQ(&v1(19), &store[9]);
+  EXPECT_TRUE(v1.covers(19));
+  EXPECT_EQ(&v3(19, 19, 19), &store[999]);
+}
+
+TEST(ArrayViewBounds, MissNamesIndexDimAndFootprint) {
+  std::vector<double> store(10 * 4);
+  ArrayView<double> v(store.data(), Region({Range(10, 20), Range(0, 4)}));
+  try {
+    v(12, -1);
+    FAIL() << "expected ExecutionError";
+  } catch (const ExecutionError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "kernel accessed global index -1 in dim 1 outside mapped "
+              "footprint [10:20)[0:4) — data distribution/alignment mapped "
+              "too little data");
+  }
+}
+
+TEST(ArrayViewBounds, EmptyFootprintRejectsEveryAccess) {
+  double cell = 0.0;
+  ArrayView<double> v1(&cell, Region({Range(4, 4)}));
+  for (long long i : {LLONG_MIN, -1LL, 0LL, 3LL, 4LL, 5LL, LLONG_MAX}) {
+    SCOPED_TRACE(i);
+    EXPECT_THROW(v1(i), ExecutionError);
+    EXPECT_FALSE(v1.covers(i));
+  }
+  ArrayView<double> v2(&cell, Region({Range(0, 4), Range(7, 3)}));
+  EXPECT_THROW(v2(0, 7), ExecutionError);
+  EXPECT_THROW(v2(0, 3), ExecutionError);
+  ArrayView<double> v3(&cell, Region({Range(0, 1), Range(0, 1), Range()}));
+  EXPECT_THROW(v3(0, 0, 0), ExecutionError);
 }
 
 TEST(DeviceMapping, OwnedMustBeInsideFootprint) {

@@ -58,6 +58,14 @@ HL007  unordered-export-iter  Range-for over a std::unordered_map /
                               across libc++/libstdc++ and hash seeds, so
                               anything serialized from it silently stops
                               being byte-identical (docs/DETERMINISM.md).
+HL009  raw-view-storage       ArrayView::local_data() called under
+                              src/kernels or src/lang.  The checked
+                              operator() is the only way a kernel body may
+                              reach device storage: it is the per-element
+                              footprint check that catches under-mapped
+                              data.  src/capi is exempt (its C API hands
+                              out a raw pointer by design).  HL008 was
+                              retired with homp-dsan and is not reused.
 
 Suppression
 -----------
@@ -97,6 +105,7 @@ CHECKS = {
     "HL005": "dead-telemetry",
     "HL006": "untagged-serve-timer",
     "HL007": "unordered-export-iter",
+    "HL009": "raw-view-storage",
 }
 
 SUPPRESS_RE = re.compile(r"homp-lint:\s*allow\(([^)]*)\)")
@@ -708,6 +717,35 @@ def check_hl007(sf, diags):
 
 
 # ---------------------------------------------------------------------------
+# HL009 — raw device storage reached from a kernel body
+# ---------------------------------------------------------------------------
+
+LOCAL_DATA_RE = re.compile(r"(?:\.|->)\s*local_data\s*\(")
+
+
+def _in_kernel_layer(path):
+    parts = _parts(path)
+    return any(a == "src" and b in ("kernels", "lang")
+               for a, b in zip(parts, parts[1:]))
+
+
+def check_hl009(sf, diags):
+    if not _in_kernel_layer(sf.path):
+        return
+    for m in LOCAL_DATA_RE.finditer(sf.clean):
+        line = sf.line_of(m.start())
+        if sf.suppressed(line, "HL009"):
+            continue
+        diags.append(Diagnostic(
+            "HL009", sf.path, line,
+            "local_data() in a kernel or src/lang body bypasses the "
+            "ArrayView footprint check, so an under-mapped access reads or "
+            "writes past the device slice instead of raising ExecutionError",
+            "index through the view's operator() with global indices; the "
+            "check is one compare per access"))
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -744,6 +782,8 @@ def _run_file_checks(sf, diags, enabled, strict, layers):
         check_hl006(sf, diags)
     if "HL007" in enabled:
         check_hl007(sf, diags)
+    if "HL009" in enabled:
+        check_hl009(sf, diags)
 
 
 def _scan_worker(task):
@@ -783,7 +823,7 @@ def changed_files():
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="homp_lint.py",
-        description="HOMP project-invariant static analysis (HL001-HL007).")
+        description="HOMP project-invariant static analysis (HL001-HL009).")
     ap.add_argument("paths", nargs="*", default=[],
                     help="files or directories to scan (default: src tests)")
     ap.add_argument("--json", action="store_true",
