@@ -29,8 +29,8 @@ DeviceMapping::DeviceMapping(const MapSpec& spec, dist::Region owned,
     local_strides_[d - 1] = local_strides_[d] * footprint_.dim(d).size();
   }
   if (materialized_) {
-    storage_.resize(static_cast<std::size_t>(footprint_.volume()) *
-                    spec.binding.elem_size);
+    storage_ = Storage(static_cast<std::size_t>(footprint_.volume()) *
+                       spec.binding.elem_size);
   }
 }
 

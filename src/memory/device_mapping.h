@@ -17,6 +17,7 @@
 #include "common/checksum.h"
 #include "dist/range.h"
 #include "memory/map_spec.h"
+#include "memory/storage_pool.h"
 #include "memory/view.h"
 
 namespace homp::mem {
@@ -124,7 +125,7 @@ class DeviceMapping {
   dist::Region footprint_;
   bool shared_;
   bool materialized_;
-  std::vector<std::byte> storage_;
+  Storage storage_;  // zeroed; recycled through StoragePool::shared()
   std::vector<long long> local_strides_;  // packed strides of footprint
 };
 
