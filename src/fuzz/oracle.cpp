@@ -291,13 +291,15 @@ std::uint64_t OracleReport::digest() const noexcept {
 OracleReport run_oracle(const ScenarioSpec& s) {
   OracleReport report;
   const sched::AlgorithmKind* kinds = sched::every_algorithm();
+  // One case serves every family: init() before each measured offload
+  // restores its arrays, and a cached serial reference is computed once.
+  auto c = kern::make_case(s.kernel, s.n, true);
+  const auto maps = c->maps();
+  const auto kernel = c->kernel();
 
   for (int i = 0; i < sched::kNumEveryAlgorithm; ++i) {
     const sched::AlgorithmKind kind = kinds[i];
     rt::Runtime runtime(s.machine);
-    auto c = kern::make_case(s.kernel, s.n, true);
-    const auto maps = c->maps();
-    const auto kernel = c->kernel();
 
     if (kind == sched::AlgorithmKind::kHistoryAuto) {
       // HISTORY_AUTO partitions by throughput observed in *previous*

@@ -1,5 +1,6 @@
 #include "kernels/bm2d.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -132,38 +133,51 @@ std::vector<mem::MapSpec> Bm2dCase::maps() const {
   return {cur, ref, best};
 }
 
-double Bm2dCase::reference(long long bi, long long bj) const {
-  const long long i0 = bi * kBlock;
-  const long long j0 = bj * kBlock;
-  double best_sad = 1e300;
-  double best_mv = 0.0;
-  for (long long dy = -kSearch; dy <= kSearch; ++dy) {
-    for (long long dx = -kSearch; dx <= kSearch; ++dx) {
-      const long long ri = i0 + dy;
-      const long long rj = j0 + dx;
-      if (ri < 0 || rj < 0 || ri + kBlock > n_ || rj + kBlock > n_) continue;
-      double sad = 0.0;
-      for (long long y = 0; y < kBlock; ++y) {
-        for (long long x = 0; x < kBlock; ++x) {
-          sad += std::abs(cur_init(i0 + y, j0 + x) - ref_init(ri + y, rj + x));
-        }
-      }
-      if (sad < best_sad) {
-        best_sad = sad;
-        best_mv = static_cast<double>((dy + kSearch) * (2 * kSearch + 1) +
-                                      (dx + kSearch));
-      }
+const std::vector<double>& Bm2dCase::expected() const {
+  if (!expect_.empty()) return expect_;
+  const long long n = n_;
+  const auto at = [n](long long i, long long j) {
+    return static_cast<std::size_t>(i * n + j);
+  };
+  std::vector<double> cur(at(n, 0)), ref(cur.size());
+  for (long long i = 0; i < n; ++i) {
+    for (long long j = 0; j < n; ++j) {
+      cur[at(i, j)] = cur_init(i, j);
+      ref[at(i, j)] = ref_init(i, j);
     }
   }
-  (void)best_mv;
-  return best_sad;
+  expect_.reserve(static_cast<std::size_t>(blocks_ * blocks_));
+  for (long long bi = 0; bi < blocks_; ++bi) {
+    for (long long bj = 0; bj < blocks_; ++bj) {
+      const long long i0 = bi * kBlock;
+      const long long j0 = bj * kBlock;
+      double best_sad = 1e300;
+      for (long long dy = -kSearch; dy <= kSearch; ++dy) {
+        for (long long dx = -kSearch; dx <= kSearch; ++dx) {
+          const long long ri = i0 + dy;
+          const long long rj = j0 + dx;
+          if (ri < 0 || rj < 0 || ri + kBlock > n || rj + kBlock > n) continue;
+          double sad = 0.0;
+          for (long long y = 0; y < kBlock; ++y) {
+            for (long long x = 0; x < kBlock; ++x) {
+              sad += std::abs(cur[at(i0 + y, j0 + x)] - ref[at(ri + y, rj + x)]);
+            }
+          }
+          best_sad = std::min(best_sad, sad);
+        }
+      }
+      expect_.push_back(best_sad);
+    }
+  }
+  return expect_;
 }
 
 bool Bm2dCase::verify(std::string* why) const {
   if (!materialize_) return true;
+  const std::vector<double>& ref = expected();
   for (long long bi = 0; bi < blocks_; ++bi) {
     for (long long bj = 0; bj < blocks_; ++bj) {
-      const double expect = reference(bi, bj);
+      const double expect = ref[static_cast<std::size_t>(bi * blocks_ + bj)];
       if (best_(bi, 2 * bj) != expect) {
         if (why) {
           *why = "bm2d: best[" + std::to_string(bi) + "][" +

@@ -13,6 +13,7 @@
 /// halo for the search window.
 
 #include <utility>
+#include <vector>
 
 #include "kernels/case.h"
 #include "memory/host_array.h"
@@ -35,8 +36,6 @@ class Bm2dCase final : public KernelCase {
   long long problem_size() const override { return n_; }
   bool materialized() const override { return materialize_; }
 
- private:
- public:
   /// Computed best SAD of a block (valid after an offload).
   double best_sad(long long bi, long long bj) const {
     return best_(bi, 2 * bj);
@@ -54,14 +53,17 @@ class Bm2dCase final : public KernelCase {
   long long blocks_per_side() const { return blocks_; }
 
  private:
-  /// Sequential best-SAD search for one block.
-  double reference(long long bi, long long bj) const;
+  /// Sequential best SAD of every block (row-major, blocks x blocks),
+  /// searched over frames built from the init formulas; computed on
+  /// first use.
+  const std::vector<double>& expected() const;
 
   std::string name_ = "bm2d";
   long long n_;        ///< frame edge, multiple of kBlock
   long long blocks_;   ///< n / kBlock
   bool materialize_;
   mem::HostArray<double> cur_, ref_, best_;
+  mutable std::vector<double> expect_;
 };
 
 }  // namespace homp::kern

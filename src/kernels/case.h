@@ -43,7 +43,12 @@ class KernelCase {
   virtual void init() = 0;
 
   /// Check outputs against a sequential reference computation; on failure
-  /// returns false and describes the first mismatch in *why.
+  /// returns false and describes the first mismatch in *why. The
+  /// reference depends only on the problem size, so bm2d, matmul and
+  /// matvec, whose references cost more than a pass over the output,
+  /// compute theirs on the first call and reuse it. axpy, stencil2d and sum
+  /// recompute theirs in one pass: caching axpy's expected y alone would
+  /// add another output-sized array to the largest materialized cases.
   virtual bool verify(std::string* why) const = 0;
 
   /// The per-iteration cost characteristics as the paper states them

@@ -85,12 +85,36 @@ std::vector<mem::MapSpec> MatMulCase::maps() const {
   return {a, b, c};
 }
 
+const std::vector<double>& MatMulCase::expected() const {
+  if (!expect_.empty()) return expect_;
+  const long long n = n_;
+  const auto at = [n](long long i, long long j) {
+    return static_cast<std::size_t>(i * n + j);
+  };
+  std::vector<double> a(at(n, 0)), bt(a.size());  // A and B transposed
+  for (long long i = 0; i < n; ++i) {
+    for (long long j = 0; j < n; ++j) {
+      a[at(i, j)] = a_init(i, j);
+      bt[at(j, i)] = b_init(i, j);
+    }
+  }
+  expect_.resize(a.size());
+  for (long long i = 0; i < n; ++i) {
+    for (long long j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (long long l = 0; l < n; ++l) acc += a[at(i, l)] * bt[at(j, l)];
+      expect_[at(i, j)] = acc;
+    }
+  }
+  return expect_;
+}
+
 bool MatMulCase::verify(std::string* why) const {
   if (!materialize_) return true;
+  const std::vector<double>& ref = expected();
   for (long long i = 0; i < n_; ++i) {
     for (long long j = 0; j < n_; ++j) {
-      double expect = 0.0;
-      for (long long l = 0; l < n_; ++l) expect += a_init(i, l) * b_init(l, j);
+      const double expect = ref[static_cast<std::size_t>(i * n_ + j)];
       if (std::abs(c_(i, j) - expect) >
           1e-9 * std::max(1.0, std::abs(expect))) {
         if (why) {

@@ -6,6 +6,8 @@
 /// A/C with B replicated. Compute-intensive (Table IV: MemComp 1.5/N,
 /// DataComp 1.5/N).
 
+#include <vector>
+
 #include "kernels/case.h"
 #include "memory/host_array.h"
 
@@ -25,10 +27,14 @@ class MatMulCase final : public KernelCase {
   bool materialized() const override { return materialize_; }
 
  private:
+  /// C = A * B from the init formulas, row-major; computed on first use.
+  const std::vector<double>& expected() const;
+
   std::string name_ = "matmul";
   long long n_;
   bool materialize_;
   mem::HostArray<double> a_, b_, c_;
+  mutable std::vector<double> expect_;
 };
 
 }  // namespace homp::kern

@@ -83,11 +83,22 @@ std::vector<mem::MapSpec> MatVecCase::maps() const {
   return {a, x, y};
 }
 
+const std::vector<double>& MatVecCase::expected() const {
+  if (!expect_.empty()) return expect_;
+  expect_.resize(static_cast<std::size_t>(n_));
+  for (long long i = 0; i < n_; ++i) {
+    double acc = 0.0;
+    for (long long j = 0; j < n_; ++j) acc += a_init(i, j) * x_init(j);
+    expect_[static_cast<std::size_t>(i)] = acc;
+  }
+  return expect_;
+}
+
 bool MatVecCase::verify(std::string* why) const {
   if (!materialize_) return true;
+  const std::vector<double>& ref = expected();
   for (long long i = 0; i < n_; ++i) {
-    double expect = 0.0;
-    for (long long j = 0; j < n_; ++j) expect += a_init(i, j) * x_init(j);
+    const double expect = ref[static_cast<std::size_t>(i)];
     if (std::abs(y_(i) - expect) > 1e-9 * std::max(1.0, std::abs(expect))) {
       if (why) {
         *why = "matvec: y[" + std::to_string(i) + "] = " +

@@ -6,6 +6,8 @@
 /// rows. Compute/data balanced (Table IV: MemComp 1 + 0.5/N,
 /// DataComp 0.5 + 1/N).
 
+#include <vector>
+
 #include "kernels/case.h"
 #include "memory/host_array.h"
 
@@ -25,10 +27,14 @@ class MatVecCase final : public KernelCase {
   bool materialized() const override { return materialize_; }
 
  private:
+  /// y = A * x from the init formulas; computed on first use.
+  const std::vector<double>& expected() const;
+
   std::string name_ = "matvec";
   long long n_;
   bool materialize_;
   mem::HostArray<double> a_, x_, y_;
+  mutable std::vector<double> expect_;
 };
 
 }  // namespace homp::kern

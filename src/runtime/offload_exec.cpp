@@ -620,7 +620,7 @@ void OffloadExecution::issue_input(int slot, int attempt) {
       q.stats.phase_time[static_cast<int>(Phase::kCopyIn)] +=
           engine_.now() - start;
       q.record_span(opts_.collect_trace, Phase::kCopyIn, start,
-                    engine_.now(), q.inflight->range.to_string());
+                    engine_.now(), q.inflight->range);
       on_input_done(slot, attempt, draw.wire_seed);
     });
   }));
@@ -706,7 +706,7 @@ void OffloadExecution::on_compute_done(int slot) {
   ++p.compute_serial;  // invalidates this chunk's pending watchdog events
 
   p.record_span(opts_.collect_trace, Phase::kCompute, p.compute_started,
-                engine_.now(), chunk.range.to_string());
+                engine_.now(), chunk.range);
   // Requeued and speculative chunks are recovery work the scheduler never
   // issued; feeding their timings back would skew the profiling rates.
   if (!chunk.origin.from_requeue && !chunk.origin.is_spec) {
@@ -803,7 +803,7 @@ void OffloadExecution::issue_output(int slot, std::shared_ptr<OutRecord> rec,
     q.stats.phase_time[static_cast<int>(Phase::kCopyOut)] +=
         engine_.now() - start;
     q.record_span(opts_.collect_trace, Phase::kCopyOut, start, engine_.now(),
-                  rec->range.to_string());
+                  rec->range);
     q.stats.bytes_out += bytes;  // physically transferred either way
     if (recovery_ && land_output(slot, rec, draw.wire_seed)) return;
     // Unverified commit: only now do the chunk's results reach the host —

@@ -1015,7 +1015,7 @@ void OffloadExecution::watchdog_hard(int slot, std::uint64_t serial) {
   p.stats.phase_time[static_cast<int>(Phase::kRecovery)] +=
       engine_.now() - p.compute_started;
   p.record_span(opts_.collect_trace, Phase::kRecovery, p.compute_started,
-                engine_.now(), p.computing->range.to_string() + " hung");
+                engine_.now(), p.computing->range, " hung");
   quarantine(slot, sim::FaultKind::kHang,
              "compute " + p.computing->range.to_string() +
                  " exceeded the hard watchdog deadline");
@@ -1049,7 +1049,7 @@ bool OffloadExecution::claim_commit(int slot, const ChunkOrigin& chunk,
             engine_.now() - origin.compute_started;
         origin.record_span(opts_.collect_trace, Phase::kRecovery,
                            origin.compute_started, engine_.now(),
-                           range.to_string() + " lost to its duplicate");
+                           range, " lost to its duplicate");
         quarantine(token->origin_slot, sim::FaultKind::kHang,
                    "compute " + range.to_string() +
                        " lost the commit race to its speculative duplicate");

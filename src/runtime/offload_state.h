@@ -125,6 +125,14 @@ struct OffloadExecution::Proxy {
     spans.push_back(TraceSpan{slot, desc->name, phase, t0, t1,
                               std::move(label)});
   }
+
+  /// As above, labelled with a chunk's range plus `suffix`; the label is
+  /// formatted only when the span is kept.
+  void record_span(bool enabled, Phase phase, double t0, double t1,
+                   const dist::Range& range, const char* suffix = "") {
+    if (!enabled || t1 <= t0) return;
+    record_span(true, phase, t0, t1, range.to_string() + suffix);
+  }
 };
 
 /// Recovery-only state (docs/RESILIENCE.md). Allocated only when the
